@@ -18,8 +18,7 @@ The fault is buffered with the E flag and its predicate:
 Run:  python examples/exception_recovery.py
 """
 
-from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler import compile_program
+from repro.compiler.pipeline import compile_program, train_predictor
 from repro.core.exceptions import FaultKind
 from repro.ir import build_cfg
 from repro.isa import parse_program
@@ -65,8 +64,10 @@ def run_case(title: str, memory: Memory, handler=None) -> None:
     print(f"--- {title} ---")
     program = parse_program(LIST_SUM, name="list-sum")
     cfg = build_cfg(program)
+    predictor = train_predictor(
+        program, cfg, memory.clone(), fault_handler=handler
+    )
     scalar = run_scalar(program, cfg, memory.clone(), fault_handler=handler)
-    predictor = StaticPredictor.from_trace(scalar.trace)
     compiled = compile_program(program, "region_pred", base_machine(), predictor)
     assert compiled.vliw is not None
 
@@ -106,6 +107,8 @@ def main() -> None:
         if address not in (last_node, last_node + 1):
             paged.map(address, word)
 
+    # The training, scalar and machine runs each start from the paged-out
+    # image, so each pages the tail node in.
     def pager(fault, machine):
         if fault.kind is FaultKind.MEMORY and fault.address in backing_store:
             machine.memory.map(fault.address, backing_store[fault.address])

@@ -13,8 +13,7 @@ This walks the library's whole pipeline on a small kernel:
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler import compile_program
+from repro.compiler.pipeline import compile_program, train_predictor
 from repro.ir import build_cfg
 from repro.isa import parse_program
 from repro.machine.config import base_machine
@@ -61,8 +60,8 @@ def main() -> None:
 
     # Profile on one input, evaluate on the same one (a real setup would
     # use a separate training input; see repro.compiler.evaluate_model).
+    predictor = train_predictor(program, cfg, make_memory())
     scalar = run_scalar(program, cfg, make_memory())
-    predictor = StaticPredictor.from_trace(scalar.trace)
 
     compiled = compile_program(program, "region_pred", config, predictor)
     assert compiled.vliw is not None

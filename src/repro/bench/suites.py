@@ -237,23 +237,54 @@ def _store_buffer_search() -> Callable[[], int]:
     return body
 
 
-def _compiled(workload_name: str, model: str):
-    """Compile *workload* under *model* the way the evaluation does."""
-    from repro.analysis.branch_prediction import StaticPredictor
-    from repro.compiler import compile_program
+def _trained(workload_name: str):
+    """*workload* and the predictor trained on its training input."""
+    from repro.compiler.pipeline import train_predictor
     from repro.ir import build_cfg
-    from repro.machine.config import base_machine
-    from repro.machine.scalar import run_scalar
     from repro.workloads import get_workload
 
     workload = get_workload(workload_name)
     cfg = build_cfg(workload.program)
-    train = run_scalar(workload.program, cfg, workload.train_memory())
-    predictor = StaticPredictor.from_trace(train.trace)
+    return workload, train_predictor(
+        workload.program, cfg, workload.train_memory()
+    )
+
+
+def _compiled(workload_name: str, model: str):
+    """Compile *workload* under *model* the way the evaluation does."""
+    from repro.compiler import compile_program
+    from repro.machine.config import base_machine
+
+    workload, predictor = _trained(workload_name)
     compiled = compile_program(
         workload.program, model, base_machine(), predictor
     )
-    return workload, predictor, compiled
+    return workload, compiled
+
+
+def _macro_compile(workload_name: str) -> Callable[[], Callable[[], int]]:
+    """Region formation, predication and list scheduling (the compile
+    hot path) of *workload* under region predication."""
+
+    def setup() -> Callable[[], int]:
+        from repro.compiler import compile_program
+        from repro.machine.config import base_machine
+
+        workload, predictor = _trained(workload_name)
+        config = base_machine()
+
+        def body() -> int:
+            compiled = compile_program(
+                workload.program, "region_pred", config, predictor
+            )
+            return sum(
+                len(unit.region.items)
+                for unit in compiled.code.units.values()
+            )
+
+        return body
+
+    return setup
 
 
 @register(
@@ -266,7 +297,7 @@ def _bundle_issue() -> Callable[[], int]:
     from repro.machine.config import base_machine
     from repro.machine.vliw import VLIWMachine
 
-    workload, _, compiled = _compiled("li", "region_pred")
+    workload, compiled = _compiled("li", "region_pred")
     assert compiled.vliw is not None
     config = base_machine()
     memory = workload.eval_memory()
@@ -282,35 +313,11 @@ def _bundle_issue() -> Callable[[], int]:
     return body
 
 
-@register(
+# The compile hot path, measured on the branchiest kernel.
+register(
     "micro.region_schedule", "micro", "ops", iterations=15, warmup=2,
     quick_iterations=3,
-)
-def _region_schedule() -> Callable[[], int]:
-    """Region formation, predication and list scheduling (compile hot
-    path), measured on the branchiest kernel."""
-    from repro.analysis.branch_prediction import StaticPredictor
-    from repro.compiler import compile_program
-    from repro.ir import build_cfg
-    from repro.machine.config import base_machine
-    from repro.machine.scalar import run_scalar
-    from repro.workloads import get_workload
-
-    workload = get_workload("espresso")
-    cfg = build_cfg(workload.program)
-    train = run_scalar(workload.program, cfg, workload.train_memory())
-    predictor = StaticPredictor.from_trace(train.trace)
-    config = base_machine()
-
-    def body() -> int:
-        compiled = compile_program(
-            workload.program, "region_pred", config, predictor
-        )
-        return sum(
-            len(unit.region.items) for unit in compiled.code.units.values()
-        )
-
-    return body
+)(_macro_compile("espresso"))
 
 
 _OBS_STATE: list = []
@@ -421,7 +428,7 @@ def _macro_machine(
         from repro.machine.vliw import VLIWMachine
         from repro.obs.metrics import CounterSink
 
-        workload, _, compiled = _compiled(workload_name, model)
+        workload, compiled = _compiled(workload_name, model)
         assert compiled.vliw is not None
         config = base_machine()
         memory = workload.eval_memory()
@@ -442,35 +449,6 @@ def _macro_machine(
         def body() -> int:
             machine = VLIWMachine(compiled.vliw, config, memory.clone())
             return machine.run().cycles
-
-        return body
-
-    return setup
-
-
-def _macro_compile(workload_name: str) -> Callable[[], Callable[[], int]]:
-    def setup() -> Callable[[], int]:
-        from repro.analysis.branch_prediction import StaticPredictor
-        from repro.compiler import compile_program
-        from repro.ir import build_cfg
-        from repro.machine.config import base_machine
-        from repro.machine.scalar import run_scalar
-        from repro.workloads import get_workload
-
-        workload = get_workload(workload_name)
-        cfg = build_cfg(workload.program)
-        train = run_scalar(workload.program, cfg, workload.train_memory())
-        predictor = StaticPredictor.from_trace(train.trace)
-        config = base_machine()
-
-        def body() -> int:
-            compiled = compile_program(
-                workload.program, "region_pred", config, predictor
-            )
-            return sum(
-                len(unit.region.items)
-                for unit in compiled.code.units.values()
-            )
 
         return body
 
@@ -512,7 +490,7 @@ def _ckpt_snapshot() -> Callable[[], int]:
     from repro.machine.config import base_machine
     from repro.machine.vliw import VLIWMachine
 
-    workload, _, compiled = _compiled("compress", "region_pred")
+    workload, compiled = _compiled("compress", "region_pred")
     assert compiled.vliw is not None
     machine = VLIWMachine(compiled.vliw, base_machine(), workload.eval_memory())
     for _ in range(500):  # park the machine mid-run, speculative state live

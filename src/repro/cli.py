@@ -78,7 +78,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.branch_prediction import StaticPredictor
 from repro.ckpt import (
     CheckpointError,
     CheckpointWriter,
@@ -94,6 +93,7 @@ from repro.ckpt import (
 )
 from repro.ckpt.engine import read_json
 from repro.compiler import MODELS, compile_program, evaluate_model
+from repro.compiler.pipeline import train_predictor
 from repro.eval import EXPERIMENTS, ExperimentContext, ExperimentOptions
 from repro.eval.artifact import dumps_artifact, make_artifact, write_artifact
 from repro.ir import build_cfg
@@ -159,8 +159,7 @@ def cmd_run(args) -> int:
 def cmd_compile(args) -> int:
     program, train, _ = _load_program_and_memory(args.target, args.seed)
     cfg = build_cfg(program)
-    scalar = run_scalar(program, cfg, train)
-    predictor = StaticPredictor.from_trace(scalar.trace)
+    predictor = train_predictor(program, cfg, train)
     compiled = compile_program(program, args.model, base_machine(), predictor)
     print(f"model    : {compiled.policy.name}")
     print(f"units    : {compiled.unit_count()}")
@@ -376,9 +375,6 @@ def _cmd_verify_security(args) -> int:
     from repro.workloads import all_workloads
 
     sink = CounterSink()
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles}
     results = []
     reproduced = True
     if args.replay:
@@ -386,7 +382,7 @@ def _cmd_verify_security(args) -> int:
         print(
             f"replaying {args.replay} ({case.name}, policy {case.policy})"
         )
-        result = case.run(sink=sink, **limits)
+        result = case.run(max_cycles=args.max_cycles, sink=sink)
         results.append(result)
         if case.expected_kind is not None:
             kinds = {leak.kind for leak in result.leaks}
@@ -411,8 +407,6 @@ def _cmd_verify_security(args) -> int:
             if args.target == "all"
             else [args.target]
         )
-        if args.max_cycles is not None:
-            limits["max_steps"] = args.max_cycles
         for target in targets:
             program, train, memory = _load_program_and_memory(
                 target, args.seed
@@ -426,8 +420,9 @@ def _cmd_verify_security(args) -> int:
                         policy=args.policy,
                         train_memory=train.clone(),
                         eval_memory=memory.clone(),
+                        max_steps=args.max_cycles,
+                        max_cycles=args.max_cycles,
                         sink=sink,
-                        **limits,
                     )
                 )
     for result in results:
@@ -455,10 +450,9 @@ def cmd_verify(args) -> int:
     sink = CounterSink()
     # --max-cycles caps both engines (machine cycles and interpreter
     # steps): a livelocked case yields a structured step-limit error
-    # result and exit 1 instead of hanging the verifier.
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
+    # result and exit 1 instead of hanging the verifier.  Unset, the
+    # oracle's own budgets apply.
+    limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
     results = []
     if args.replay:
         case = ReproCase.load(args.replay)
@@ -512,9 +506,7 @@ def cmd_diff_trace(args) -> int:
     )
     from repro.verify.tracediff import TRACEDIFF_SCHEMA
 
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
+    limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
     tracer = None
     if args.replay:
         case = ReproCase.load(args.replay)

@@ -5,8 +5,11 @@ model policy (region formation -> predication -> renaming -> dependence ->
 list scheduling), and -- for the predicating models -- emits executable
 VLIW code.
 
-``evaluate_model`` reproduces the paper's methodology end to end for one
-(program, model, machine) triple:
+``train_predictor`` (profile a training run into the static predictor) and
+``check_equivalent`` (the scheduled code's output must match the scalar
+run's) are the one training path and the one equivalence check every
+caller shares.  ``evaluate_model`` reproduces the paper's methodology end
+to end for one (program, model, machine) triple:
 
 1. run the scalar program on a *training* input to profile branches;
 2. compile with the profile-driven static predictor;
@@ -42,7 +45,41 @@ from repro.machine.scalar import ScalarRun, run_scalar
 from repro.machine.vliw import VLIWMachine, VLIWResult
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.trace_events import CycleTraceRecorder
+from repro.sim.interpreter import FaultHandler
 from repro.sim.memory import Memory
+
+
+def train_predictor(
+    program: Program,
+    cfg: CFG,
+    train_memory: Memory,
+    *,
+    fault_handler: FaultHandler | None = None,
+    max_steps: int | None = None,
+) -> StaticPredictor:
+    """Profile *program* on *train_memory*: the static branch predictor
+    region formation compiles against.
+
+    Mirrors :func:`run_scalar` (which consumes *train_memory*);
+    ``StepLimitExceeded`` from a livelocked training run propagates.
+    """
+    train = run_scalar(
+        program, cfg, train_memory, fault_handler=fault_handler,
+        max_steps=max_steps,
+    )
+    return StaticPredictor.from_trace(train.trace)
+
+
+def check_equivalent(
+    label: str, machine_result: VLIWResult, scalar_output
+) -> None:
+    """Raise unless the machine's architectural output is the scalar run's."""
+    expected = tuple(scalar_output)
+    if machine_result.architectural_output != expected:
+        raise AssertionError(
+            f"{label}: scheduled code diverged from scalar semantics: "
+            f"{machine_result.architectural_output[:8]} != {expected[:8]}"
+        )
 
 
 @dataclass
@@ -180,12 +217,10 @@ def evaluate_model(
     whatever result the runner returns.
     """
     cfg = build_cfg(program)
-    train = run_scalar(
+    predictor = train_predictor(
         program, cfg, train_memory, fault_handler=fault_handler,
         max_steps=max_steps,
     )
-    predictor = StaticPredictor.from_trace(train.trace)
-
     compiled = compile_program(program, model, config, predictor)
 
     evaluation = run_scalar(
@@ -210,13 +245,10 @@ def evaluate_model(
         machine_result = (
             machine.run() if machine_runner is None else machine_runner(machine)
         )
-        if machine_result.architectural_output != evaluation.output:
-            raise AssertionError(
-                f"{program.name}/{compiled.policy.name}: scheduled code "
-                f"diverged from scalar semantics: "
-                f"{machine_result.architectural_output[:8]} != "
-                f"{evaluation.output[:8]}"
-            )
+        check_equivalent(
+            f"{program.name}/{compiled.policy.name}", machine_result,
+            evaluation.output,
+        )
     return ModelEvaluation(
         model=compiled.policy.name,
         scalar=evaluation,

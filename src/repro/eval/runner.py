@@ -46,7 +46,11 @@ from repro.ckpt.journal import Journal
 from repro.ckpt.signals import SignalSupervisor
 from repro.ckpt.state import CheckpointError, restore_vliw
 from repro.compiler.models import MODELS, REGION_PRED
-from repro.compiler.pipeline import compile_program
+from repro.compiler.pipeline import (
+    check_equivalent,
+    compile_program,
+    train_predictor,
+)
 from repro.compiler.policy import ModelPolicy
 from repro.eval import hwcost as hwcost_model
 from repro.ir.cfg import CFG, build_cfg
@@ -56,7 +60,7 @@ from repro.machine.scalar import ScalarRun, run_scalar
 from repro.machine.vliw import VLIWMachine
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.runlog import NULL_RUN_LOG, RunLog
-from repro.serve.backoff import backoff_delay
+from repro.serve.backoff import backoff_delay, terminate_pool
 from repro.workloads import Workload, all_workloads
 
 #: Bump to invalidate every cached cell (evaluator semantics changed).
@@ -229,8 +233,9 @@ class ExperimentContext:
     def baseline(self, workload: Workload) -> WorkloadBaseline:
         if workload.name not in self._baselines:
             cfg = build_cfg(workload.program)
-            train = run_scalar(workload.program, cfg, workload.train_memory())
-            predictor = StaticPredictor.from_trace(train.trace)
+            predictor = train_predictor(
+                workload.program, cfg, workload.train_memory()
+            )
             evaluation = run_scalar(
                 workload.program, cfg, workload.eval_memory()
             )
@@ -291,11 +296,10 @@ class ExperimentContext:
             result = run_vliw_checkpointed(
                 machine, checkpoint_every=self.checkpoint_every, writer=writer
             )
-            if result.architectural_output != tuple(baseline.evaluation.output):
-                raise AssertionError(
-                    f"{workload.name}/{compiled.policy.name}: scheduled code "
-                    "diverged from scalar semantics"
-                )
+            check_equivalent(
+                f"{workload.name}/{compiled.policy.name}", result,
+                baseline.evaluation.output,
+            )
             cycles = result.cycles
             if machine.btb is not None:
                 btb_hits = machine.btb.hits
@@ -461,8 +465,7 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
                 build_cfg(workload.program), factor
             ).to_program()
         cfg = build_cfg(program)
-        train = run_scalar(program, cfg, workload.train_memory())
-        predictor = StaticPredictor.from_trace(train.trace)
+        predictor = train_predictor(program, cfg, workload.train_memory())
         policy = dataclasses.replace(
             spec.resolved_policy() or REGION_PRED, window_blocks=16 * factor
         )
@@ -846,7 +849,7 @@ class CellRunner:
         if self.supervisor is None or self.supervisor.pending is None:
             return
         if pool is not None:
-            self._terminate(pool)
+            terminate_pool(pool)
         raise self.supervisor.shutdown()
 
     def _evaluate_misses(self, todo: list[CellSpec], keys: list[str]) -> list:
@@ -933,7 +936,7 @@ class CellRunner:
                 if self.sink.enabled:
                     self.sink.count("runner.cell_timeouts")
                 if self.fail_fast:
-                    self._terminate(pool)
+                    terminate_pool(pool)
                     raise
                 needs_isolation.append(index)
                 hung = True
@@ -947,20 +950,20 @@ class CellRunner:
                         self.sink.count("runner.worker_crashes")
                 broken = True
                 if self.fail_fast:
-                    self._terminate(pool)
+                    terminate_pool(pool)
                     raise
                 needs_isolation.append(index)
             except Exception as error:
                 # The cell itself raised: deterministic, not worth
                 # retrying.
                 if self.fail_fast:
-                    self._terminate(pool)
+                    terminate_pool(pool)
                     raise
                 outcomes[index] = error_entry(todo[index], error, 1)
                 self._cell_resolved(todo[index], "error")
             self._check_shutdown(pool)
         if hung or broken:
-            self._terminate(pool)
+            terminate_pool(pool)
         else:
             pool.shutdown(wait=True)
 
@@ -1019,26 +1022,18 @@ class CellRunner:
                 if self.sink.enabled:
                     self.sink.count("runner.cell_timeouts")
                 last_error = error
-                self._terminate(pool)
+                terminate_pool(pool)
             except BrokenProcessPool as error:
                 self.stats.crashes += 1
                 if self.sink.enabled:
                     self.sink.count("runner.worker_crashes")
                 last_error = error
-                self._terminate(pool)
+                terminate_pool(pool)
             except Exception as error:
-                self._terminate(pool)
+                terminate_pool(pool)
                 if self.fail_fast:
                     raise
                 return error_entry(spec, error, attempts)
         if self.fail_fast:
             raise last_error
         return error_entry(spec, last_error, attempts)
-
-    @staticmethod
-    def _terminate(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down even when a worker is hung or dead."""
-        for process in list(pool._processes.values()):
-            if process.is_alive():
-                process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)

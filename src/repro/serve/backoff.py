@@ -1,6 +1,6 @@
-"""Jittered exponential backoff, shared by every retry loop.
+"""Jittered exponential backoff and pool teardown, shared by every retry loop.
 
-One helper, two consumers: the experiment runner's isolated-cell
+Two helpers, two consumers: the experiment runner's isolated-cell
 retries (:mod:`repro.eval.runner`) and the service worker pool
 (:mod:`repro.serve.pool`).  Both used to retry in deterministic
 lockstep -- after a broken pool, every failed unit slept exactly
@@ -18,6 +18,7 @@ SHA-256 of ``(key, attempt)``, so
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 #: Default multiplier between successive retries.
 DEFAULT_FACTOR = 2.0
@@ -58,3 +59,11 @@ def backoff_delay(
     if jitter:
         raw *= 1.0 - jitter * backoff_fraction(key, attempt)
     return raw
+
+
+def terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even when a worker is hung or dead."""
+    for process in list(pool._processes.values()):
+        if process.is_alive():
+            process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)

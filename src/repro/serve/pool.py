@@ -30,7 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.runlog import NULL_RUN_LOG, RunLog
-from repro.serve.backoff import backoff_delay
+from repro.serve.backoff import backoff_delay, terminate_pool
 from repro.serve.protocol import ResolvedJob
 from repro.serve.worker import execute_batch, run_job
 
@@ -89,7 +89,7 @@ class WorkerPool:
         """Dead-worker replacement: discard the broken executor; the
         next batch gets a fresh one."""
         if self._pool is not None:
-            _terminate(self._pool)
+            terminate_pool(self._pool)
             self._pool = None
 
     def shutdown(self) -> None:
@@ -217,15 +217,15 @@ class WorkerPool:
                 if self.sink.enabled:
                     self.sink.count("serve.pool.timeouts")
                 last_error = error
-                _terminate(pool)
+                terminate_pool(pool)
             except BrokenProcessPool as error:
                 self.crashes += 1
                 if self.sink.enabled:
                     self.sink.count("serve.pool.worker_crashes")
                 last_error = error
-                _terminate(pool)
+                terminate_pool(pool)
             except Exception as error:
-                _terminate(pool)
+                terminate_pool(pool)
                 return _error_outcome(error, attempts)
         return _error_outcome(last_error, attempts)
 
@@ -241,11 +241,3 @@ class WorkerPool:
         self.serial_fallbacks += 1
         if self.sink.enabled:
             self.sink.count("serve.pool.serial_fallbacks")
-
-
-def _terminate(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when a worker is hung or dead."""
-    for process in list(pool._processes.values()):
-        if process.is_alive():
-            process.terminate()
-    pool.shutdown(wait=True, cancel_futures=True)

@@ -21,8 +21,11 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.pipeline import compile_program
+from repro.compiler.pipeline import (
+    check_equivalent,
+    compile_program,
+    train_predictor,
+)
 from repro.ir.cfg import build_cfg
 from repro.isa.parser import parse_program
 from repro.machine.vliw import VLIWMachine
@@ -59,10 +62,7 @@ def _compiled(job: ResolvedJob):
     cfg = build_cfg(program)
     compiled = None
     if job.model != "scalar":
-        from repro.machine.scalar import run_scalar
-
-        train = run_scalar(program, cfg, train_memory)
-        predictor = StaticPredictor.from_trace(train.trace)
+        predictor = train_predictor(program, cfg, train_memory)
         compiled = compile_program(program, job.model, job.config, predictor)
     entry = (program, cfg, compiled)
     while len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
@@ -115,11 +115,10 @@ def run_job(job: ResolvedJob) -> dict:
     assert compiled is not None and compiled.vliw is not None
     machine = VLIWMachine(compiled.vliw, job.config, _eval_memory(job))
     machine_result = machine.run()
-    if machine_result.architectural_output != tuple(evaluation.output):
-        raise AssertionError(
-            f"{job.name}/{job.model}: scheduled code diverged from "
-            "scalar semantics"
-        )
+    check_equivalent(
+        f"{job.name}/{job.model}", machine_result,
+        evaluation.output,
+    )
     result["machine_cycles"] = machine_result.cycles
     result["speedup"] = evaluation.cycles / machine_result.cycles
     return result

@@ -62,13 +62,12 @@ class SecurityCase:
         """Replay through the security oracle; returns a SecurityResult."""
         from repro.taint.oracle import run_security
 
-        kwargs: dict = {} if max_cycles is None else {"max_cycles": max_cycles}
         return run_security(
             vliw=self.vliw(),
             policy=self.policy,
             eval_memory=self.make_memory(),
+            max_cycles=max_cycles,
             sink=sink,
-            **kwargs,
         )
 
     def bundle_count(self) -> int:

@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.branch_prediction import StaticPredictor
 from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program
+from repro.compiler.pipeline import compile_program, train_predictor
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
 from repro.ir.cfg import build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
 from repro.machine.program import VLIWProgram
-from repro.machine.scalar import run_scalar
 from repro.machine.vliw import VLIWMachine
 from repro.obs.diagnostics import MachineAbort
 from repro.obs.flight import RingRecorder
@@ -119,8 +117,8 @@ def run_security(
     train_memory: Memory | None = None,
     eval_memory: Memory | None = None,
     fault_handler=None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    max_steps: int | None = None,
+    max_cycles: int | None = None,
     sink: MetricsSink = NULL_SINK,
     window_k: int = WINDOW_K,
 ) -> SecurityResult:
@@ -128,12 +126,15 @@ def run_security(
 
     Returns a :class:`SecurityResult`; ``secure`` is True only when the
     taint run finished cleanly with zero leaks *and* the twin cycle
-    counts agree (no timing channel).
+    counts agree (no timing channel).  *max_steps* / *max_cycles* of
+    None mean the oracle defaults.
     """
     if (program is None) == (vliw is None):
         raise ValueError("pass exactly one of program= or vliw=")
     config = config if config is not None else base_machine()
     eval_memory = eval_memory if eval_memory is not None else Memory()
+    max_steps = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
+    max_cycles = max_cycles if max_cycles is not None else DEFAULT_MAX_CYCLES
 
     name = HAND_MODEL
     compiled_vliw = vliw
@@ -142,16 +143,12 @@ def run_security(
         train = train_memory if train_memory is not None else eval_memory
         cfg = build_cfg(program)
         try:
-            profile = run_scalar(
-                program,
-                cfg,
-                train.clone(),
-                fault_handler=fault_handler,
+            predictor = train_predictor(
+                program, cfg, train.clone(), fault_handler=fault_handler,
                 max_steps=max_steps,
             )
         except StepLimitExceeded as error:
             return _errored(program.name, name, policy, f"training run: {error}")
-        predictor = StaticPredictor.from_trace(profile.trace)
         compiled = compile_program(program, MODELS[name], config, predictor)
         assert compiled.vliw is not None
         compiled_vliw = compiled.vliw

@@ -83,21 +83,17 @@ class ReproCase:
         """Replay the case through the oracle; returns an OracleResult."""
         from repro.verify.oracle import run_oracle
 
-        kwargs: dict = {}
-        if max_steps is not None:
-            kwargs["max_steps"] = max_steps
-        if max_cycles is not None:
-            kwargs["max_cycles"] = max_cycles
         return run_oracle(
             self.program(),
             self.model,
             self.config,
             eval_memory=self.make_memory(),
             fault_handler=self.make_fault_handler(),
+            max_steps=max_steps,
+            max_cycles=max_cycles,
             policy_overrides=self.policy_overrides,
             machine_factory=machine_factory,
             sink=sink,
-            **kwargs,
         )
 
     # -- serialization -------------------------------------------------

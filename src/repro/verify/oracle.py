@@ -28,16 +28,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.branch_prediction import StaticPredictor
 from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program
+from repro.compiler.pipeline import compile_program, train_predictor
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
-from repro.ir.cfg import build_cfg
+from repro.ir.cfg import CFG, build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
 from repro.machine.program import VLIWProgram
-from repro.machine.scalar import run_scalar
 from repro.machine.vliw import VLIWMachine, VLIWResult
 from repro.obs.diagnostics import MachineAbort, MachineSnapshot
 from repro.obs.metrics import NULL_SINK, MetricsSink
@@ -63,10 +61,6 @@ MAX_SITES = 8
 #: fast during fuzzing and shrinking.
 DEFAULT_MAX_STEPS = 2_000_000
 DEFAULT_MAX_CYCLES = 20_000_000
-
-
-class _SkipMachine(Exception):
-    """Internal: the machine side cannot run (training hit its limit)."""
 
 
 def resolve_model(model: str) -> str:
@@ -218,6 +212,83 @@ def region_label(vliw: VLIWProgram, pc: int) -> str | None:
     return None
 
 
+@dataclass
+class MachineRun:
+    """The machine side of one check: *error* is a livelocked training
+    run (the machine never ran), a schedule violation or a machine
+    abort; *fault* is an unhandled fault."""
+
+    machine: VLIWMachine | None = None
+    result: VLIWResult | None = None
+    fault: UnhandledFault | None = None
+    error: str | None = None
+
+
+class OracleSetup:
+    """The arguments :func:`run_oracle` and
+    :func:`repro.verify.tracediff.run_diff_trace` share, resolved: model
+    aliases and *policy_overrides* applied, None meaning the default."""
+
+    def __init__(
+        self, model: str | ModelPolicy, config: MachineConfig | None, *,
+        train_memory: Memory | None, eval_memory: Memory | None,
+        fault_handler, max_steps: int | None, max_cycles: int | None,
+        policy_overrides: dict | None, machine_factory,
+    ):
+        if isinstance(model, str):
+            self.name = resolve_model(model)
+            self.policy = MODELS[self.name]
+        else:
+            self.name, self.policy = model.name, model
+        if policy_overrides:
+            self.policy = dataclasses.replace(self.policy, **policy_overrides)
+        self.config = config if config is not None else base_machine()
+        self.eval_memory = eval_memory if eval_memory is not None else Memory()
+        self.train_memory = (
+            train_memory if train_memory is not None else self.eval_memory
+        )
+        self.fault_handler = fault_handler
+        self.max_steps = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
+        self.max_cycles = (
+            max_cycles if max_cycles is not None else DEFAULT_MAX_CYCLES
+        )
+        self.factory = machine_factory or VLIWMachine
+
+    def run_machine(
+        self, program: Program, cfg: CFG, **observers
+    ) -> MachineRun:
+        """Train, compile and run the factory machine (*observers* go to
+        its constructor).  A livelocked training run becomes a
+        structured error, not a raw traceback: the step limit is the
+        whole point of ``--max-cycles`` on replayed cases."""
+        run = MachineRun()
+        try:
+            predictor = train_predictor(
+                program, cfg, self.train_memory.clone(),
+                fault_handler=self.fault_handler, max_steps=self.max_steps,
+            )
+        except StepLimitExceeded as error:
+            run.error = f"StepLimitExceeded: training run: {error}"
+            return run
+        try:
+            compiled = compile_program(program, self.policy, self.config, predictor)
+            assert compiled.vliw is not None
+            run.machine = self.factory(
+                compiled.vliw,
+                self.config,
+                self.eval_memory.clone(),
+                fault_handler=self.fault_handler,
+                max_cycles=self.max_cycles,
+                **observers,
+            )
+            run.result = run.machine.run()
+        except UnhandledFault as fault:
+            run.fault = fault
+        except (ScheduleViolation, MachineAbort) as error:
+            run.error = f"{type(error).__name__}: {error}"
+        return run
+
+
 def run_oracle(
     program: Program,
     model: str | ModelPolicy,
@@ -226,8 +297,8 @@ def run_oracle(
     train_memory: Memory | None = None,
     eval_memory: Memory | None = None,
     fault_handler=None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    max_steps: int | None = None,
+    max_cycles: int | None = None,
     policy_overrides: dict | None = None,
     machine_factory=None,
     sink: MetricsSink = NULL_SINK,
@@ -238,23 +309,16 @@ def run_oracle(
     exists so tests can seed a deliberately broken machine and watch the
     oracle catch it.  *policy_overrides* are ``dataclasses.replace``
     fields applied to the resolved policy (the fuzzer sweeps
-    ``window_blocks`` / ``share_equivalent_joins`` this way).
+    ``window_blocks`` / ``share_equivalent_joins`` this way).  *max_steps*
+    / *max_cycles* of None mean :data:`DEFAULT_MAX_STEPS` /
+    :data:`DEFAULT_MAX_CYCLES`.
     """
-    if isinstance(model, str):
-        name = resolve_model(model)
-        policy = MODELS[name]
-    else:
-        policy = model
-        name = policy.name
-    if policy_overrides:
-        policy = dataclasses.replace(policy, **policy_overrides)
-    config = config if config is not None else base_machine()
-    eval_memory = eval_memory if eval_memory is not None else Memory()
-    train_memory = (
-        train_memory if train_memory is not None else eval_memory.clone()
+    setup = OracleSetup(
+        model, config, train_memory=train_memory, eval_memory=eval_memory,
+        fault_handler=fault_handler, max_steps=max_steps,
+        max_cycles=max_cycles, policy_overrides=policy_overrides,
+        machine_factory=machine_factory,
     )
-    factory = machine_factory if machine_factory is not None else VLIWMachine
-
     if sink.enabled:
         sink.count("oracle.runs")
 
@@ -265,10 +329,10 @@ def run_oracle(
     cfg = build_cfg(program)
     interpreter = Interpreter(
         program,
-        eval_memory.clone(),
+        setup.eval_memory.clone(),
         cfg=cfg,
-        fault_handler=fault_handler,
-        max_steps=max_steps,
+        fault_handler=setup.fault_handler,
+        max_steps=setup.max_steps,
     )
     try:
         golden = interpreter.run()
@@ -277,49 +341,11 @@ def run_oracle(
     except StepLimitExceeded as error:
         scalar_error = str(error)
 
-    # --- compile (training run profiles the branches) -----------------
-    machine_error: str | None = None
-    machine_fault: UnhandledFault | None = None
-    machine_result: VLIWResult | None = None
-    machine = None
-    snapshot: MachineSnapshot | None = None
-    predictor = None
-    try:
-        # A livelocked training run must become a structured result,
-        # not a raw traceback: the step limit is the whole point of
-        # ``--max-cycles`` on replayed cases.
-        train = run_scalar(
-            program,
-            cfg,
-            train_memory.clone(),
-            fault_handler=fault_handler,
-            max_steps=max_steps,
-        )
-        predictor = StaticPredictor.from_trace(train.trace)
-    except StepLimitExceeded as error:
-        machine_error = f"StepLimitExceeded: training run: {error}"
-    try:
-        if predictor is None:
-            raise _SkipMachine
-        compiled = compile_program(program, policy, config, predictor)
-        assert compiled.vliw is not None
-        machine = factory(
-            compiled.vliw,
-            config,
-            eval_memory.clone(),
-            fault_handler=fault_handler,
-            max_cycles=max_cycles,
-        )
-        machine_result = machine.run()
-    except _SkipMachine:
-        pass  # training blew the step limit; machine_error already says so
-    except UnhandledFault as fault:
-        machine_fault = fault
-    except (ScheduleViolation, MachineAbort) as error:
-        machine_error = f"{type(error).__name__}: {error}"
-        snapshot = getattr(error, "snapshot", None)
-    if machine is not None and snapshot is None:
-        snapshot = machine.snapshot()
+    # --- machine: train, compile, run ---------------------------------
+    side = setup.run_machine(program, cfg)
+    machine, machine_result = side.machine, side.result
+    machine_fault, machine_error = side.fault, side.error
+    snapshot = machine.snapshot() if machine is not None else None
 
     # --- compare -------------------------------------------------------
     sites = _compare(
@@ -328,12 +354,14 @@ def run_oracle(
     )
     report: DivergenceReport | None = None
     if sites:
-        final_region = None
-        if machine is not None and snapshot is not None:
-            final_region = region_label(machine.program, snapshot.pc)
+        final_region = (
+            region_label(machine.program, snapshot.pc)
+            if machine is not None
+            else None
+        )
         report = DivergenceReport(
             program=program.name,
-            model=name,
+            model=setup.name,
             category=sites[0].kind,
             sites=tuple(sites[:MAX_SITES]),
             region=final_region,
@@ -357,7 +385,7 @@ def run_oracle(
 
     return OracleResult(
         program=program.name,
-        model=name,
+        model=setup.name,
         equivalent=report is None,
         report=report,
         scalar_cycles=golden.scalar_cycles if golden is not None else None,

@@ -20,28 +20,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program
 from repro.compiler.policy import ModelPolicy
-from repro.core.exceptions import ScheduleViolation, UnhandledFault
+from repro.core.exceptions import UnhandledFault
 from repro.ir.cfg import build_cfg
 from repro.isa.program import Program
-from repro.machine.config import MachineConfig, base_machine
-from repro.machine.scalar import run_scalar
-from repro.machine.vliw import VLIWMachine
-from repro.obs.diagnostics import MachineAbort
+from repro.machine.config import MachineConfig
 from repro.obs.effects import EffectDivergence, EffectStream, first_divergence
 from repro.obs.flight import DEFAULT_CAPACITY, FlightEvent, RingRecorder
 from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.interpreter import Interpreter, StepLimitExceeded
 from repro.sim.memory import Memory
 from repro.verify.case import ReproCase
-from repro.verify.oracle import (
-    DEFAULT_MAX_CYCLES,
-    DEFAULT_MAX_STEPS,
-    resolve_model,
-)
+from repro.verify.oracle import OracleSetup
 
 #: Envelope identifier for the diff-trace artifact; bump on layout changes.
 TRACEDIFF_SCHEMA = "repro-tracediff/v1"
@@ -51,10 +41,6 @@ DEFAULT_WINDOW = 8
 
 #: Trailing effects included in the artifact for context.
 _EFFECT_TAIL = 16
-
-
-class _SkipMachine(Exception):
-    """Internal: the machine side cannot run (training hit its limit)."""
 
 
 @dataclass
@@ -213,8 +199,8 @@ def run_diff_trace(
     train_memory: Memory | None = None,
     eval_memory: Memory | None = None,
     fault_handler=None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    max_steps: int | None = None,
+    max_cycles: int | None = None,
     policy_overrides: dict | None = None,
     machine_factory=None,
     window: int = DEFAULT_WINDOW,
@@ -223,25 +209,18 @@ def run_diff_trace(
 ) -> TraceDiffResult:
     """Run both sides fully instrumented and align their effect streams.
 
-    Mirrors :func:`repro.verify.oracle.run_oracle`'s compilation and
-    memory plumbing exactly, so a case that diverges under the oracle
-    diverges identically here.  *tracer*, when given, is attached to the
-    machine run (see :func:`merged_trace` for the two-process view).
+    Shares :func:`repro.verify.oracle.run_oracle`'s argument resolution
+    and machine side (:class:`~repro.verify.oracle.OracleSetup`), so a
+    case that diverges under the oracle diverges identically here.
+    *tracer*, when given, is attached to the machine run (see
+    :func:`merged_trace` for the two-process view).
     """
-    if isinstance(model, str):
-        name = resolve_model(model)
-        policy = MODELS[name]
-    else:
-        policy = model
-        name = policy.name
-    if policy_overrides:
-        policy = dataclasses.replace(policy, **policy_overrides)
-    config = config if config is not None else base_machine()
-    eval_memory = eval_memory if eval_memory is not None else Memory()
-    train_memory = (
-        train_memory if train_memory is not None else eval_memory.clone()
+    setup = OracleSetup(
+        model, config, train_memory=train_memory, eval_memory=eval_memory,
+        fault_handler=fault_handler, max_steps=max_steps,
+        max_cycles=max_cycles, policy_overrides=policy_overrides,
+        machine_factory=machine_factory,
     )
-    factory = machine_factory if machine_factory is not None else VLIWMachine
 
     # --- scalar golden model, instrumented ----------------------------
     scalar = SideRun(
@@ -253,10 +232,10 @@ def run_diff_trace(
     cfg = build_cfg(program)
     interpreter = Interpreter(
         program,
-        eval_memory.clone(),
+        setup.eval_memory.clone(),
         cfg=cfg,
-        fault_handler=fault_handler,
-        max_steps=max_steps,
+        fault_handler=setup.fault_handler,
+        max_steps=setup.max_steps,
         flight=scalar.flight,
         effects=scalar.effects,
     )
@@ -278,48 +257,21 @@ def run_diff_trace(
         flight=RingRecorder(flight_capacity, source="machine"),
     )
     machine_side.effects = EffectStream("machine", machine_side.flight)
-    predictor = None
-    try:
-        # Mirror the oracle: a livelocked training run becomes a
-        # structured machine-side error, never a raw traceback.
-        train = run_scalar(
-            program,
-            cfg,
-            train_memory.clone(),
-            fault_handler=fault_handler,
-            max_steps=max_steps,
+    run = setup.run_machine(
+        program, cfg, flight=machine_side.flight,
+        effects=machine_side.effects, tracer=tracer,
+    )
+    machine_side.error = run.error
+    if run.result is not None:
+        machine_side.cycles = run.result.cycles
+        machine_side.registers = dict(enumerate(run.result.registers))
+        machine_side.handled_faults = run.result.handled_faults
+    if run.fault is not None:
+        machine_side.unhandled = (
+            run.fault.fault.kind.value, run.fault.fault.address
         )
-        predictor = StaticPredictor.from_trace(train.trace)
-    except StepLimitExceeded as error:
-        machine_side.error = f"StepLimitExceeded: training run: {error}"
-    machine = None
-    try:
-        if predictor is None:
-            raise _SkipMachine
-        compiled = compile_program(program, policy, config, predictor)
-        assert compiled.vliw is not None
-        machine = factory(
-            compiled.vliw,
-            config,
-            eval_memory.clone(),
-            fault_handler=fault_handler,
-            max_cycles=max_cycles,
-            flight=machine_side.flight,
-            effects=machine_side.effects,
-            tracer=tracer,
-        )
-        result = machine.run()
-        machine_side.cycles = result.cycles
-        machine_side.registers = dict(enumerate(result.registers))
-        machine_side.handled_faults = result.handled_faults
-    except _SkipMachine:
-        pass  # training blew the step limit; the side error already says so
-    except UnhandledFault as fault:
-        machine_side.unhandled = (fault.fault.kind.value, fault.fault.address)
-        if machine is not None:
-            machine_side.handled_faults = machine.handled_faults
-    except (ScheduleViolation, MachineAbort) as error:
-        machine_side.error = f"{type(error).__name__}: {error}"
+        if run.machine is not None:
+            machine_side.handled_faults = run.machine.handled_faults
 
     # --- align ---------------------------------------------------------
     divergence = first_divergence(
@@ -337,7 +289,7 @@ def run_diff_trace(
     )
     return TraceDiffResult(
         program=program.name,
-        model=name,
+        model=setup.name,
         equivalent=equivalent,
         divergence=divergence,
         scalar=scalar,
@@ -359,23 +311,19 @@ def diff_trace_case(
     tracer: CycleTraceRecorder | None = None,
 ) -> TraceDiffResult:
     """Replay a serialized repro case through the lockstep diff."""
-    kwargs: dict = {}
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
-    if max_cycles is not None:
-        kwargs["max_cycles"] = max_cycles
     return run_diff_trace(
         case.program(),
         case.model,
         case.config,
         eval_memory=case.make_memory(),
         fault_handler=case.make_fault_handler(),
+        max_steps=max_steps,
+        max_cycles=max_cycles,
         policy_overrides=case.policy_overrides,
         machine_factory=machine_factory,
         window=window,
         flight_capacity=flight_capacity,
         tracer=tracer,
-        **kwargs,
     )
 
 

@@ -127,21 +127,18 @@ class TestDisabledRecorderGuard:
         from repro.verify.fuzz import build_case, derive_campaign
 
         case = build_case(derive_campaign(0, 0))
-        from repro.analysis.branch_prediction import StaticPredictor
         from repro.compiler.models import MODELS
-        from repro.compiler.pipeline import compile_program
+        from repro.compiler.pipeline import compile_program, train_predictor
         from repro.ir.cfg import build_cfg
-        from repro.machine.scalar import run_scalar
         from repro.machine.vliw import VLIWMachine
 
         program = case.program()
         cfg = build_cfg(program)
-        train = run_scalar(program, cfg, case.make_memory())
         compiled = compile_program(
             program,
             MODELS[case.model],
             case.config,
-            StaticPredictor.from_trace(train.trace),
+            train_predictor(program, cfg, case.make_memory()),
         )
         machine = VLIWMachine(compiled.vliw, case.config, case.make_memory())
         assert machine.flight is NULL_RECORDER
@@ -182,22 +179,19 @@ class TestDisabledTaintGuard:
         from repro.verify.fuzz import build_case, derive_campaign
 
         case = build_case(derive_campaign(0, 0))
-        from repro.analysis.branch_prediction import StaticPredictor
         from repro.compiler.models import MODELS
-        from repro.compiler.pipeline import compile_program
+        from repro.compiler.pipeline import compile_program, train_predictor
         from repro.ir.cfg import build_cfg
-        from repro.machine.scalar import run_scalar
         from repro.machine.vliw import VLIWMachine
         from repro.sim.interpreter import Interpreter
 
         program = case.program()
         cfg = build_cfg(program)
-        train = run_scalar(program, cfg, case.make_memory())
         compiled = compile_program(
             program,
             MODELS[case.model],
             case.config,
-            StaticPredictor.from_trace(train.trace),
+            train_predictor(program, cfg, case.make_memory()),
         )
         machine = VLIWMachine(compiled.vliw, case.config, case.make_memory())
         assert machine.taint is NULL_TAINT

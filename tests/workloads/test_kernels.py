@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.branch_prediction import StaticPredictor
+from repro.compiler.pipeline import train_predictor
 from repro.ir import build_cfg
 from repro.machine.scalar import run_scalar
 from repro.sim.interpreter import run_program
@@ -61,8 +61,9 @@ class TestBranchBands:
     def accuracy(self, name: str) -> float:
         workload = get_workload(name)
         cfg = build_cfg(workload.program)
-        train = run_scalar(workload.program, cfg, workload.train_memory())
-        predictor = StaticPredictor.from_trace(train.trace)
+        predictor = train_predictor(
+            workload.program, cfg, workload.train_memory()
+        )
         evaluation = run_scalar(workload.program, cfg, workload.eval_memory())
         return predictor.accuracy_on(evaluation.trace)
 

@@ -138,8 +138,9 @@ def get_benchmark(name: str) -> BenchDef:
     quick_iterations=5,
 )
 def _predicate_eval() -> Callable[[], int]:
-    """Tri-state predicate evaluation against live CCR contents --
-    the single most frequent operation in the machine's control path."""
+    """Tri-state predicate evaluation against live CCR contents (the
+    masked match of :meth:`CCR.evaluate`) -- the single most frequent
+    operation in the machine's control path."""
     from repro.core.ccr import CCR
     from repro.core.predicate import parse_predicate
 
@@ -160,7 +161,7 @@ def _predicate_eval() -> Callable[[], int]:
         evals = 0
         for _ in range(rounds):
             for predicate in predicates:
-                predicate.evaluate(ccr.values())
+                ccr.evaluate(predicate)
                 evals += 1
         return evals
 

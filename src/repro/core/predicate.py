@@ -40,17 +40,29 @@ class Predicate:
     A predicate maps CCR entry indices to required boolean values; entries
     absent from the mapping are don't-cares (the ``X`` of the paper's vector
     encoding).  Instances are immutable and hashable.
+
+    The vector encoding is also held as two ints, the form the hardware
+    matches against: ``care`` has bit *i* set for every constrained
+    entry (the non-``X`` positions) and ``bits`` has bit *i* set where
+    the required value is 1.  :meth:`repro.core.ccr.CCR.evaluate` is the
+    masked match over these.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "care", "bits")
 
     def __init__(self, terms: Mapping[int, bool] | Iterable[tuple[int, bool]] = ()):
         items = dict(terms)
-        for index in items:
+        care = bits = 0
+        for index, value in items.items():
             if index < 0:
                 raise ValueError(f"CCR index must be non-negative: {index}")
+            care |= 1 << index
+            if value:
+                bits |= 1 << index
         self._terms: tuple[tuple[int, bool], ...] = tuple(sorted(items.items()))
         self._hash = hash(self._terms)
+        self.care = care
+        self.bits = bits
 
     @property
     def terms(self) -> tuple[tuple[int, bool], ...]:
@@ -119,15 +131,12 @@ class Predicate:
         p's.  Used by the machine's store-buffer forwarding and by the
         scheduler's dependence analysis.
         """
-        mine = dict(self._terms)
-        return all(mine.get(index) == value for index, value in other._terms)
+        care = other.care
+        return not (care & ~self.care or (self.bits ^ other.bits) & care)
 
     def disjoint_with(self, other: Predicate) -> bool:
         """True when this predicate and *other* can never both be true."""
-        mine = dict(self._terms)
-        return any(
-            index in mine and mine[index] != value for index, value in other._terms
-        )
+        return bool((self.bits ^ other.bits) & self.care & other.care)
 
     def encode(self, num_conditions: int) -> tuple[str, ...]:
         """Vector encoding over *num_conditions* CCR entries ('1'/'0'/'X')."""

@@ -115,6 +115,15 @@ class PredicatedRegisterFile:
         #: populate ``CommitEvents.committed_values`` during ticks.
         self.collect_commit_values = False
         self.entries = [RegisterFileEntry() for _ in range(num_regs)]
+        #: Registers whose shadow holds at least one buffered write.  The
+        #: commit hardware visits only these; every path that fills or
+        #: empties a shadow keeps the set exact.
+        self.occupied: set[int] = set()
+        if not sink.enabled:
+            # Zero cost by structure: with no sink to feed, the per-cycle
+            # entry point *is* the bare commit hardware (subclasses
+            # change the hardware by overriding ``_tick_core``).
+            self.tick = self._tick_core
 
     # ------------------------------------------------------------------
     # Reads.
@@ -187,6 +196,19 @@ class PredicatedRegisterFile:
             return
         self._entry(reg).sequential = value
 
+    def write_committed(self, reg: int, value: int, ccr: CCR) -> None:
+        """A write-back whose predicate is TRUE: supersede, then write.
+
+        The pair :meth:`supersede_pending` + :meth:`write_sequential`
+        every non-speculative write-back performs, in one call.
+        """
+        if reg == self.zero_reg:
+            return
+        entry = self._entry(reg)
+        if entry.pending:
+            self.supersede_pending(reg, ccr)
+        entry.sequential = value
+
     def supersede_pending(self, reg: int, ccr: CCR) -> None:
         """Drop buffered values a sequential write supersedes.
 
@@ -203,12 +225,16 @@ class PredicatedRegisterFile:
         if reg == self.zero_reg:
             return
         entry = self._entry(reg)
-        entry.pending = [
+        if not entry.pending:
+            return
+        entry.pending = kept = [
             write
             for write in entry.pending
             if write.fault is not None
             or ccr.evaluate(write.pred) is not PredValue.TRUE
         ]
+        if not kept:
+            self.occupied.discard(reg)
 
     def write_speculative(
         self,
@@ -221,7 +247,7 @@ class PredicatedRegisterFile:
         """Buffer a speculative write of *value* under *pred* (sets V, E)."""
         if reg == self.zero_reg:
             return
-        if pred.is_always:
+        if not pred.care:  # alw
             raise ValueError("speculative write cannot carry the alw predicate")
         entry = self._entry(reg)
         if entry.pending and entry.pending[-1].pred == pred:
@@ -244,6 +270,7 @@ class PredicatedRegisterFile:
                 f"{entry.pending[-1].pred} vs new {pred}"
             )
         entry.pending.append(PendingWrite(value, pred, fault, taint))
+        self.occupied.add(reg)
 
     # ------------------------------------------------------------------
     # Per-cycle commit hardware.
@@ -253,16 +280,16 @@ class PredicatedRegisterFile:
 
         Returns the cycle's commit/squash events.  Detected speculative
         exceptions are reported, not raised: the machine decides how to
-        enter recovery mode.
+        enter recovery mode.  A file built without a sink is ticked
+        straight through :meth:`_tick_core` (see ``__init__``).
         """
-        if self.sink.enabled:
-            self.sink.observe(
-                "regfile.shadow_occupancy", self.shadow_occupancy()
-            )
+        sink = self.sink
+        if not sink.enabled:
+            return self._tick_core(ccr)
+        sink.observe("regfile.shadow_occupancy", self.shadow_occupancy())
         events = self._tick_core(ccr)
-        if self.sink.enabled:
-            self.sink.count("regfile.commits", len(events.committed))
-            self.sink.count("regfile.squashes", len(events.squashed))
+        sink.count("regfile.commits", len(events.committed))
+        sink.count("regfile.squashes", len(events.squashed))
         return events
 
     def _tick_core(self, ccr: CCR) -> CommitEvents:
@@ -270,23 +297,34 @@ class PredicatedRegisterFile:
 
         All sink guards live in :meth:`tick`; the bench suite times this
         method directly as the uninstrumented reference when enforcing
-        the NULL_SINK zero-cost claim.
+        the NULL_SINK zero-cost claim.  Only occupied registers are
+        visited, in register order, so the events come out exactly as a
+        scan of all entries would produce them.
         """
         events = CommitEvents()
-        for reg, entry in enumerate(self.entries):
-            if not entry.pending:
-                continue
+        occupied = self.occupied
+        if not occupied:
+            return events
+        spec = ccr.spec
+        val = ccr.val
+        entries = self.entries
+        collect = self.collect_commit_values
+        for reg in sorted(occupied):
+            entry = entries[reg]
             kept: list[PendingWrite] = []
             for write in entry.pending:
-                verdict = ccr.evaluate(write.pred)
-                if verdict is PredValue.UNSPEC:
+                pred = write.pred
+                care = pred.care
+                if care & ~spec:  # UNSPEC: hold
                     kept.append(write)
-                elif verdict is PredValue.TRUE:
+                elif (val ^ pred.bits) & care:  # FALSE: squash
+                    events.squashed.append(reg)
+                else:  # TRUE: commit
                     if write.fault is not None:
                         events.detected_faults.append(write.fault)
                     else:
                         entry.sequential = write.value
-                        if self.collect_commit_values:
+                        if collect:
                             events.committed_values.append(
                                 (reg, write.value)
                             )
@@ -296,15 +334,17 @@ class PredicatedRegisterFile:
                         # speculative provenance is declassified.
                         events.declassified += 1
                     events.committed.append(reg)
-                else:
-                    events.squashed.append(reg)
             entry.pending = kept
+            if not kept:
+                occupied.discard(reg)
         return events
 
     def invalidate_speculative(self) -> None:
         """Drop all buffered speculative state (entry to recovery mode)."""
-        for entry in self.entries:
-            entry.pending.clear()
+        entries = self.entries
+        for reg in self.occupied:
+            entries[reg].pending.clear()
+        self.occupied.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -367,8 +407,10 @@ class PredicatedRegisterFile:
         for entry, value in zip(self.entries, sequential):
             entry.sequential = value
             entry.pending = []
+        self.occupied.clear()
         for reg_text, writes in state.get("pending", {}).items():
-            entry = self._entry(int(reg_text))
+            reg = int(reg_text)
+            entry = self._entry(reg)
             entry.pending = [
                 PendingWrite(
                     value=write["value"],
@@ -383,6 +425,8 @@ class PredicatedRegisterFile:
                 )
                 for write in writes
             ]
+            if entry.pending:
+                self.occupied.add(reg)
 
     def _entry(self, reg: int) -> RegisterFileEntry:
         if not 0 <= reg < self.num_regs:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.ccr import CCR
 from repro.core.exceptions import FaultRecord, ScheduleViolation
-from repro.core.predicate import ALWAYS, Predicate, PredValue
+from repro.core.predicate import ALWAYS, Predicate
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.taint.tags import TaintTag, taint_from_state, taint_to_state
 
@@ -68,15 +68,20 @@ class PredicatedStoreBuffer:
             raise ValueError("store buffer capacity must be >= 1")
         self.capacity = capacity
         self.sink = sink
-        self._entries: list[tuple[int, StoreBufferEntry]] = []
+        #: The FIFO, oldest first, as ``(serial, entry)`` pairs.
+        self.entries: list[tuple[int, StoreBufferEntry]] = []
         self._serial = 0
+        if not sink.enabled:
+            # Zero cost by structure, as in the register file: without a
+            # sink the per-cycle entry point is the bare buffer hardware.
+            self.tick = self._tick_core
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def append(
         self,
@@ -91,7 +96,7 @@ class PredicatedStoreBuffer:
         """Append a store at the FIFO tail; returns the entry serial."""
         if self.full:
             raise ScheduleViolation("store buffer overflow")
-        if speculative and pred.is_always:
+        if speculative and not pred.care:  # alw
             raise ValueError("speculative entry cannot carry the alw predicate")
         self._serial += 1
         entry = StoreBufferEntry(
@@ -102,7 +107,7 @@ class PredicatedStoreBuffer:
             fault=fault,
             taint=taint,
         )
-        self._entries.append((self._serial, entry))
+        self.entries.append((self._serial, entry))
         return self._serial
 
     # ------------------------------------------------------------------
@@ -112,20 +117,18 @@ class PredicatedStoreBuffer:
         """One cycle: evaluate predicates, then retire from the head.
 
         *memory* must expose ``store(address, value)``; retired outputs are
-        appended to *output*.
+        appended to *output*.  A buffer built without a sink is ticked
+        straight through :meth:`_tick_core` (see ``__init__``).
         """
-        if self.sink.enabled:
-            self.sink.observe("storebuffer.occupancy", len(self._entries))
+        sink = self.sink
+        if not sink.enabled:
+            return self._tick_core(ccr, memory, output)
+        sink.observe("storebuffer.occupancy", len(self.entries))
         events = self._tick_core(ccr, memory, output)
-        if self.sink.enabled:
-            self.sink.count("storebuffer.commits", len(events.committed))
-            self.sink.count("storebuffer.squashes", len(events.squashed))
-            self.sink.count(
-                "storebuffer.retired_stores", len(events.retired_stores)
-            )
-            self.sink.count(
-                "storebuffer.retired_outputs", len(events.retired_outputs)
-            )
+        sink.count("storebuffer.commits", len(events.committed))
+        sink.count("storebuffer.squashes", len(events.squashed))
+        sink.count("storebuffer.retired_stores", len(events.retired_stores))
+        sink.count("storebuffer.retired_outputs", len(events.retired_outputs))
         return events
 
     def _tick_core(
@@ -138,29 +141,38 @@ class PredicatedStoreBuffer:
         the NULL_SINK zero-cost claim.
         """
         events = StoreBufferEvents()
-        for serial, entry in self._entries:
+        entries = self.entries
+        if not entries:
+            return events
+        spec = ccr.spec
+        val = ccr.val
+        for serial, entry in entries:
             if not entry.valid or not entry.speculative:
                 continue
-            verdict = ccr.evaluate(entry.pred)
-            if verdict is PredValue.TRUE:
-                entry.speculative = False
-                if entry.taint is not None:
-                    # Architecturally confirmed: the entry retires with
-                    # the value sequential execution would have stored,
-                    # so its speculative provenance is declassified.
-                    entry.taint = None
-                    events.declassified += 1
-                events.committed.append(serial)
-                if entry.fault is not None:
-                    events.detected_faults.append(entry.fault)
-            elif verdict is PredValue.FALSE:
+            pred = entry.pred
+            care = pred.care
+            if care & ~spec:  # UNSPEC: hold
+                continue
+            if (val ^ pred.bits) & care:  # FALSE: squash
                 entry.valid = False
                 events.squashed.append(serial)
+                continue
+            # TRUE: commit.
+            entry.speculative = False
+            if entry.taint is not None:
+                # Architecturally confirmed: the entry retires with
+                # the value sequential execution would have stored,
+                # so its speculative provenance is declassified.
+                entry.taint = None
+                events.declassified += 1
+            events.committed.append(serial)
+            if entry.fault is not None:
+                events.detected_faults.append(entry.fault)
 
-        while self._entries:
-            serial, entry = self._entries[0]
+        while self.entries:
+            serial, entry = self.entries[0]
             if not entry.valid:
-                self._entries.pop(0)
+                self.entries.pop(0)
                 continue
             if entry.speculative:
                 break  # head unresolved: retirement blocks
@@ -168,7 +180,7 @@ class PredicatedStoreBuffer:
                 # A non-speculative faulting store is a normal exception;
                 # the machine raises it at retirement.
                 events.detected_faults.append(entry.fault)
-                self._entries.pop(0)
+                self.entries.pop(0)
                 continue
             if entry.address is None:
                 output.append(entry.value)
@@ -176,7 +188,7 @@ class PredicatedStoreBuffer:
             else:
                 memory.store(entry.address, entry.value)
                 events.retired_stores.append((entry.address, entry.value))
-            self._entries.pop(0)
+            self.entries.pop(0)
         return events
 
     # ------------------------------------------------------------------
@@ -187,7 +199,9 @@ class PredicatedStoreBuffer:
 
         Returns None when the load should read the D-cache.
         """
-        for _, entry in reversed(self._entries):
+        if not self.entries:
+            return None
+        for _, entry in reversed(self.entries):
             if not entry.valid or entry.address != address:
                 continue
             if not entry.speculative or reader_pred.implies(entry.pred):
@@ -210,7 +224,7 @@ class PredicatedStoreBuffer:
         reads the D-cache.  Called only after :meth:`lookup` succeeded,
         so the ambiguous-overlap case cannot re-raise here.
         """
-        for _, entry in reversed(self._entries):
+        for _, entry in reversed(self.entries):
             if not entry.valid or entry.address != address:
                 continue
             if not entry.speculative or reader_pred.implies(entry.pred):
@@ -222,7 +236,7 @@ class PredicatedStoreBuffer:
 
     def invalidate_speculative(self) -> None:
         """Squash all speculative entries (entry to recovery mode)."""
-        for _, entry in self._entries:
+        for _, entry in self.entries:
             if entry.speculative:
                 entry.valid = False
 
@@ -235,7 +249,7 @@ class PredicatedStoreBuffer:
         ccr = CCR(1)  # all-unspecified CCR: only non-speculative entries move
         drained = StoreBufferEvents()
         while True:
-            before = len(self._entries)
+            before = len(self.entries)
             events = self.tick(ccr, memory, output)
             if events.detected_faults:
                 raise ScheduleViolation(
@@ -245,13 +259,13 @@ class PredicatedStoreBuffer:
             drained.squashed.extend(events.squashed)
             drained.retired_stores.extend(events.retired_stores)
             drained.retired_outputs.extend(events.retired_outputs)
-            if len(self._entries) == before:
+            if len(self.entries) == before:
                 break
         return drained
 
     def pending_entries(self) -> list[StoreBufferEntry]:
         """The live entries, oldest first (for tests)."""
-        return [entry for _, entry in self._entries]
+        return [entry for _, entry in self.entries]
 
     # ------------------------------------------------------------------
     # Checkpoint state extraction (JSON-native).
@@ -279,7 +293,7 @@ class PredicatedStoreBuffer:
                         else {"taint": taint_to_state(entry.taint)}
                     ),
                 }
-                for serial, entry in self._entries
+                for serial, entry in self.entries
             ],
         }
 
@@ -293,7 +307,7 @@ class PredicatedStoreBuffer:
                 f"{len(state['entries'])}, buffer fits {self.capacity}"
             )
         self._serial = state["serial"]
-        self._entries = [
+        self.entries = [
             (
                 item["serial"],
                 StoreBufferEntry(

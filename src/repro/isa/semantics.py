@@ -17,6 +17,11 @@ from collections.abc import Callable
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
 
+#: The i64 range: a result inside it is already wrapped, so an executor
+#: can skip the :func:`to_i64` call with one chained comparison.
+I64_MIN = -_SIGN
+I64_MAX = _SIGN - 1
+
 
 class SimFault(Exception):
     """Base class for architectural faults raised during execution."""

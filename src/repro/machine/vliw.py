@@ -48,7 +48,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.ccr import CCR
-from repro.core.control_path import ControlPath
 from repro.core.exceptions import (
     FaultKind,
     FaultRecord,
@@ -59,14 +58,26 @@ from repro.core.exceptions import (
 from repro.core.predicate import ALWAYS, PredValue, Predicate
 from repro.core.regfile import CommitEvents, PredicatedRegisterFile
 from repro.core.store_buffer import PredicatedStoreBuffer
+from repro.isa.decode import (
+    ALU,
+    BRANCH,
+    COND,
+    HALT,
+    JUMP,
+    LOAD,
+    OUT,
+    STORE,
+    DecodedOp,
+)
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import NUM_REGS
 from repro.isa.semantics import (
+    I64_MAX,
+    I64_MIN,
     ArithmeticFault,
     effective_address,
-    eval_alu,
-    eval_cond,
+    to_i64,
 )
 from repro.isa.printer import format_instruction
 from repro.machine.btb import BranchTargetBuffer
@@ -93,8 +104,11 @@ FaultHandler = Callable[[FaultRecord, "VLIWMachine"], bool]
 DEFAULT_MAX_CYCLES = 50_000_000
 _MAX_CONSECUTIVE_STALLS = 1_000
 
+_TRUE = PredValue.TRUE
+_UNSPEC = PredValue.UNSPEC
 
-@dataclass
+
+@dataclass(slots=True)
 class _InFlight:
     """A result waiting for its writeback cycle.
 
@@ -187,7 +201,6 @@ class VLIWMachine:
         self.taint = taint
 
         self.ccr = CCR(config.ccr_entries)
-        self.control_path = ControlPath(self.ccr)
         self.regfile = PredicatedRegisterFile(
             NUM_REGS, shadow_capacity=config.shadow_capacity, sink=sink
         )
@@ -205,11 +218,19 @@ class VLIWMachine:
 
         self._in_flight: list[_InFlight] = []
         self._region_starts = program.region_starts()
+        # Decode once: every bundle becomes a list of issue-ready records
+        # (kind, semantics, operands, resolved target, predicate bits),
+        # so issue never re-derives an instruction's facts.
+        resolve = program.resolve
+        self._decoded = [
+            [DecodedOp(op, resolve) for op in bundle]
+            for bundle in program.bundles
+        ]
         # Store-buffer demand per bundle is static: precompute it so the
         # per-cycle stall check is two comparisons, not an opcode scan.
         self._bundle_store_ops = [
-            sum(1 for op in bundle if op.opcode in ("st", "out"))
-            for bundle in program.bundles
+            sum(1 for rec in bundle if rec.kind == STORE or rec.kind == OUT)
+            for bundle in self._decoded
         ]
         # Conservative "might a speculative fault be buffered?" flag.
         # Faults are rare; ``_exception_commits`` short-circuits on this
@@ -334,8 +355,11 @@ class VLIWMachine:
             self.events.append(self._cycle_events)
         self._tick()
 
-        bundle = self.program.bundles[self.pc]
-        if self._must_stall(bundle):
+        needs_buffer = self._bundle_store_ops[self.pc]
+        if needs_buffer and (
+            len(self.store_buffer.entries) + needs_buffer
+            > self.store_buffer.capacity
+        ):
             self._stalls += 1
             if self._observing:
                 self.sink.count("machine.stall_cycles")
@@ -343,11 +367,12 @@ class VLIWMachine:
                 raise StoreBufferDeadlock(
                     "store buffer deadlock", self.snapshot()
                 )
-            self._apply_due_writebacks(self.ccr)
+            if self._in_flight:
+                self._apply_due_writebacks(self.ccr)
             return True
         self._stalls = 0
 
-        if self._issue_and_finish(bundle):
+        if self._issue_and_finish(self._decoded[self.pc]):
             self._finalize()
             return False
         return True
@@ -381,6 +406,13 @@ class VLIWMachine:
         return self._result
 
     def _tick(self) -> None:
+        # Quiet cycle: nothing buffered anywhere, so the commit hardware
+        # has nothing to evaluate.  An observed run still ticks every
+        # cycle -- the sink samples occupancy each cycle.
+        if not (
+            self.regfile.occupied or self.store_buffer.entries or self._observing
+        ):
+            return
         rf_events = self.regfile.tick(self.ccr)
         sb_events = self.store_buffer.tick(self.ccr, self.memory, self.output)
         if self._forensics:
@@ -407,13 +439,6 @@ class VLIWMachine:
             raise AssertionError(
                 "exception commit escaped the combinational check"
             )
-
-    def _must_stall(self, bundle) -> bool:
-        needs_buffer = self._bundle_store_ops[self.pc]
-        return needs_buffer > 0 and (
-            len(self.store_buffer) + needs_buffer
-            > self.store_buffer.capacity
-        )
 
     # ------------------------------------------------------------------
     # Observability.
@@ -479,7 +504,7 @@ class VLIWMachine:
                 self.sink.count(f"block.ops/B{origin}")
 
     def _observe_op(
-        self, op: Instruction, verdict: PredValue, squashed: bool
+        self, op: Instruction, verdict: PredValue | None, squashed: bool
     ) -> None:
         if squashed:
             self.sink.count("machine.ops.squashed")
@@ -637,57 +662,139 @@ class VLIWMachine:
     # ------------------------------------------------------------------
     # Issue.
     # ------------------------------------------------------------------
-    def _issue_and_finish(self, bundle) -> bool:
+    def _issue_and_finish(self, bundle: list[DecodedOp]) -> bool:
         """Issue *bundle*, run end-of-cycle steps; returns True on halt."""
         self.bundles_issued += 1
         self.issued_ops += len(bundle)
         self._last_issued.append((self.cycle, self.pc))
         if self._observing:
-            self._observe_issue(bundle)
+            self._observe_issue(self.program.bundles[self.pc])
         if self._forensics:
-            self._forensic_issue(bundle)
+            self._forensic_issue(self.program.bundles[self.pc])
         in_recovery = self.mode is MachineMode.RECOVERY
+        ccr = self.ccr
+        regfile = self.regfile
+        entries = regfile.entries
         pending_ccr: list[tuple[int, bool]] = []
-        pending_transfer: str | None = None
+        pending_transfer: DecodedOp | None = None
         halted = False
 
-        for op in bundle:
-            verdict = self._verdict(op)
-            if in_recovery and verdict is not PredValue.UNSPEC:
-                # Recovery squashes everything the current condition decides.
-                self.squashed_ops += 1
-                if self._observing:
-                    self._observe_op(op, verdict, squashed=True)
-                continue
-            if verdict is PredValue.FALSE:
-                self.squashed_ops += 1
-                if self._observing:
-                    self._observe_op(op, verdict, squashed=True)
-                continue
-            if verdict is PredValue.UNSPEC:
+        for rec in bundle:
+            # The control path (Figure 1): the predicate's masked match
+            # against the CCR.  UNSPEC executes speculatively, FALSE
+            # squashes at issue, and recovery squashes everything the
+            # current condition decides.
+            care = rec.care
+            if care & ~ccr.spec:
+                if rec.strict:
+                    raise ScheduleViolation(self._unspec_message(rec))
+                speculative = True
                 self.speculative_ops += 1
+            elif in_recovery or (ccr.val ^ rec.bits) & care:
+                self.squashed_ops += 1
+                if self._observing:
+                    self._observe_op(rec.op, None, squashed=True)
+                continue
+            else:
+                speculative = False
             if self._observing:
-                self._observe_op(op, verdict, squashed=False)
-            result = self._execute(op, verdict)
-            if result is not None:
-                kind, payload = result
-                if kind == "ccr":
-                    pending_ccr.append(payload)
-                elif kind == "transfer":
-                    if pending_transfer is not None:
-                        raise ScheduleViolation(
-                            "two taken transfers in one bundle"
+                self._observe_op(
+                    rec.op, _UNSPEC if speculative else _TRUE, squashed=False
+                )
+
+            kind = rec.kind
+            if kind == ALU:
+                # The hot path: operand fetch inlined.  A ``.s`` source
+                # with nothing buffered falls back to the sequential
+                # storage, exactly as :meth:`PredicatedRegisterFile.read`.
+                reg = rec.src0
+                if reg is None:
+                    a = rec.imm
+                elif rec.shadow0 and entries[reg].pending:
+                    a = regfile.read(reg, shadow=True, reader_pred=rec.pred)
+                else:
+                    a = entries[reg].sequential
+                try:
+                    if rec.unary:
+                        value = rec.fn(a)
+                    else:
+                        reg = rec.src1
+                        if reg is None:
+                            b = rec.imm
+                        elif rec.shadow1 and entries[reg].pending:
+                            b = regfile.read(
+                                reg, shadow=True, reader_pred=rec.pred
+                            )
+                        else:
+                            b = entries[reg].sequential
+                        value = rec.fn(a, b)
+                except ArithmeticFault as error:
+                    self._handle_fault(
+                        rec,
+                        speculative,
+                        FaultRecord(
+                            kind=FaultKind.ARITHMETIC,
+                            instruction_uid=rec.op.uid,
+                            detail=str(error),
+                        ),
+                        retry=lambda: self._compute(rec),
+                    )
+                    continue
+                if not I64_MIN <= value <= I64_MAX:
+                    value = to_i64(value)
+                self._schedule_writeback(
+                    rec,
+                    value,
+                    speculative,
+                    taint=self._operand_taint(rec) if self._taint else None,
+                )
+            elif kind == LOAD:
+                self._execute_load(rec, speculative)
+            elif kind == COND:
+                if self._taint:
+                    taint = self._operand_taint(rec)
+                    if taint is not None:
+                        # Propagation, not (by default) a leak: compiled
+                        # condition-sets are re-predicated ``alw`` yet keep
+                        # their home path, so they legitimately read shadow
+                        # state of unresolved speculative loads.
+                        self.taint.ccr_write(
+                            rec.creg,
+                            taint,
+                            self.cycle,
+                            self.pc,
+                            self._region_name(),
                         )
-                    pending_transfer = payload
-                elif kind == "halt":
-                    halted = True
+                pending_ccr.append((rec.creg, self._compute(rec)))
+            elif kind == JUMP or kind == BRANCH:
+                if kind == BRANCH:
+                    condition = ccr.get(rec.creg)
+                    if condition is None:
+                        raise ScheduleViolation(
+                            f"branch on unspecified condition: {rec.op}"
+                        )
+                    if condition is not rec.sense:
+                        continue
+                if pending_transfer is not None:
+                    raise ScheduleViolation("two taken transfers in one bundle")
+                pending_transfer = rec
+            elif kind == STORE:
+                self._execute_store(rec, speculative)
+            elif kind == OUT:
+                self._execute_out(rec, speculative)
+            elif kind == HALT:
+                halted = True
+            # NOP: nothing to do.
 
         # ---- end of cycle -------------------------------------------------
-        # Cloning (and copying back) the CCR is only needed on cycles
-        # with condition-set results; on quiet cycles the live register
-        # doubles as its own next state, keeping its evaluation memo warm.
+        # A separate next-state register is only needed when a buffered
+        # fault could commit under it; otherwise condition-set results
+        # land in the live register directly.
+        check_faults = self._maybe_fault and self.mode is MachineMode.NORMAL
+        ccr_next = ccr
         if pending_ccr:
-            ccr_next = self.ccr.clone()
+            if check_faults:
+                ccr_next = ccr.clone()
             for index, value in pending_ccr:
                 ccr_next.set(index, value)
                 if self._cycle_events is not None:
@@ -706,21 +813,20 @@ class VLIWMachine:
                         "ccr.write",
                         f"c{index} = {int(value)}",
                     )
-        else:
-            ccr_next = self.ccr
 
-        if self.mode is MachineMode.NORMAL and self._exception_commits(ccr_next):
+        if check_faults and self._exception_commits(ccr_next):
             # The future CCR must be a private instance even when no
             # condition was set this cycle (CCR-corruption injection can
             # commit an E flag under the *unchanged* register).
-            if ccr_next is self.ccr:
-                ccr_next = self.ccr.clone()
+            if ccr_next is ccr:
+                ccr_next = ccr.clone()
             self._enter_recovery(ccr_next)
             return False
 
-        if ccr_next is not self.ccr:
-            self.ccr.copy_from(ccr_next)
-        self._apply_due_writebacks(self.ccr)
+        if ccr_next is not ccr:
+            ccr.copy_from(ccr_next)
+        if self._in_flight:
+            self._apply_due_writebacks(ccr)
 
         if self.mode is MachineMode.RECOVERY and self.pc == self.epc:
             self._finish_recovery()
@@ -735,109 +841,46 @@ class VLIWMachine:
             self.pc += 1
         return False
 
-    def _verdict(self, op: Instruction) -> PredValue:
-        verdict = self.control_path.evaluate(op)
-        if verdict is PredValue.UNSPEC and op.is_cond_set:
-            raise ScheduleViolation(
-                f"condition-set issued with unspecified predicate: {op}"
-            )
-        return verdict
+    @staticmethod
+    def _unspec_message(rec: DecodedOp) -> str:
+        if rec.kind == COND:
+            return f"condition-set issued with unspecified predicate: {rec.op}"
+        return f"control transfer issued with unspecified predicate: {rec.op}"
 
-    def _execute(
-        self, op: Instruction, verdict: PredValue
-    ) -> tuple[str, object] | None:
-        """Execute one op; returns a deferred end-of-cycle action."""
-        opcode = op.opcode
-        if opcode == "nop":
-            return None
-        if opcode == "halt":
-            return ("halt", None)
-        if opcode == "jmp":
-            return ("transfer", op.target)
-        if opcode in ("br", "brf"):
-            condition = self.ccr.get(op.src_cregs[0])
-            if condition is None:
-                raise ScheduleViolation(f"branch on unspecified condition: {op}")
-            taken = condition if opcode == "br" else not condition
-            return ("transfer", op.target) if taken else None
+    def _compute(self, rec: DecodedOp) -> int | bool:
+        """Evaluate an ALU or condition-set op from freshly read operands."""
+        values = self._source_values(rec)
+        if rec.kind == COND:
+            return rec.fn(*values)
+        return to_i64(rec.fn(*values))
 
-        speculative = verdict is PredValue.UNSPEC
-        if opcode == "ld":
-            return self._execute_load(op, speculative)
-        if opcode == "st":
-            self._execute_store(op, speculative)
-            return None
-        if opcode == "out":
-            value = self._read_src(op, 0)
-            taint = None
-            if self._taint:
-                taint = self._sink_taint(
-                    op,
-                    self._src_taint(op, 0),
-                    speculative,
-                    "output",
-                    f"out {value}",
-                )
-            serial = self.store_buffer.append(
-                None, value, op.pred, speculative=speculative, taint=taint
-            )
-            if self._forensics and self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    self._region_name(),
-                    "sb.insert",
-                    f"entry {serial}: out {value}",
-                    str(op.pred) if speculative else None,
-                )
-            return None
-        if op.is_cond_set:
-            values = self._source_values(op)
-            if self._taint:
-                taint = self._operand_taint(op)
-                if taint is not None:
-                    # Propagation, not (by default) a leak: compiled
-                    # condition-sets are re-predicated ``alw`` yet keep
-                    # their home path, so they legitimately read shadow
-                    # state of unresolved speculative loads.
-                    self.taint.ccr_write(
-                        op.dest_creg,
-                        taint,
-                        self.cycle,
-                        self.pc,
-                        self._region_name(),
-                    )
-            return ("ccr", (op.dest_creg, eval_cond(opcode, *values)))
-
-        # Plain ALU operation.
-        values = self._source_values(op)
-        try:
-            value = eval_alu(opcode, *values)
-        except ArithmeticFault as error:
-            self._handle_fault(
-                op,
+    def _execute_out(self, rec: DecodedOp, speculative: bool) -> None:
+        value = self._read_src(rec, 0)
+        taint = None
+        if self._taint:
+            taint = self._sink_taint(
+                rec,
+                self._src_taint(rec, 0),
                 speculative,
-                FaultRecord(
-                    kind=FaultKind.ARITHMETIC,
-                    instruction_uid=op.uid,
-                    detail=str(error),
-                ),
-                retry=lambda: eval_alu(opcode, *self._source_values(op)),
+                "output",
+                f"out {value}",
             )
-            return None
-        self._schedule_writeback(
-            op,
-            value,
-            speculative,
-            taint=self._operand_taint(op) if self._taint else None,
+        serial = self.store_buffer.append(
+            None, value, rec.pred, speculative=speculative, taint=taint
         )
-        return None
+        if self._forensics and self.flight.enabled:
+            self.flight.record(
+                self.cycle,
+                self.pc,
+                self._region_name(),
+                "sb.insert",
+                f"entry {serial}: out {value}",
+                str(rec.pred) if speculative else None,
+            )
 
-    def _execute_load(
-        self, op: Instruction, speculative: bool
-    ) -> None:
-        address = effective_address(self._read_src(op, 0), op.imm or 0)
-        reader_pred = op.pred if speculative else ALWAYS
+    def _execute_load(self, rec: DecodedOp, speculative: bool) -> None:
+        address = effective_address(self._read_src(rec, 0), rec.imm)
+        reader_pred = rec.pred if speculative else ALWAYS
         forwarded = self.store_buffer.lookup(address, reader_pred)
         if self._forensics and self.flight.enabled:
             outcome = "miss" if forwarded is None else f"hit {forwarded}"
@@ -847,81 +890,71 @@ class VLIWMachine:
                 self._region_name(),
                 "sb.lookup",
                 f"mem[{address}] {outcome}",
-                str(op.pred) if speculative else None,
+                str(rec.pred) if speculative else None,
             )
-        if forwarded is not None:
-            self._schedule_writeback(
-                op,
-                forwarded,
-                speculative,
-                taint=(
-                    self._load_taint(op, address, reader_pred, speculative)
-                    if self._taint
-                    else None
-                ),
-            )
-            return None
-        try:
-            value = self.memory.load(address)
-        except MemoryFault as error:
-            self._handle_fault(
-                op,
-                speculative,
-                FaultRecord(
-                    kind=FaultKind.MEMORY,
-                    instruction_uid=op.uid,
-                    address=error.address,
-                    detail=str(error),
-                ),
-                retry=lambda: self.memory.load(address),
-            )
-            return None
+        if forwarded is None:
+            try:
+                value = self.memory.load(address)
+            except MemoryFault as error:
+                self._handle_fault(
+                    rec,
+                    speculative,
+                    FaultRecord(
+                        kind=FaultKind.MEMORY,
+                        instruction_uid=rec.op.uid,
+                        address=error.address,
+                        detail=str(error),
+                    ),
+                    retry=lambda: self.memory.load(address),
+                )
+                return
+        else:
+            value = forwarded
         self._schedule_writeback(
-            op,
+            rec,
             value,
             speculative,
             taint=(
-                self._load_taint(op, address, reader_pred, speculative)
+                self._load_taint(rec, address, reader_pred, speculative)
                 if self._taint
                 else None
             ),
         )
-        return None
 
-    def _execute_store(self, op: Instruction, speculative: bool) -> None:
-        value = self._read_src(op, 0)
-        address = effective_address(self._read_src(op, 1), op.imm or 0)
+    def _execute_store(self, rec: DecodedOp, speculative: bool) -> None:
+        value = self._read_src(rec, 0)
+        address = effective_address(self._read_src(rec, 1), rec.imm)
         fault: FaultRecord | None = None
         if not self.memory.is_valid(address):
             fault = FaultRecord(
                 kind=FaultKind.MEMORY,
-                instruction_uid=op.uid,
+                instruction_uid=rec.op.uid,
                 address=address,
                 detail=f"store to invalid address {address}",
             )
             if not speculative:
-                self._handle_nonspeculative_fault(op, fault)
+                self._handle_nonspeculative_fault(rec, fault)
                 # The handler repaired state; the store proceeds.
                 fault = None
             else:
-                decision = self._future_verdict(op)
+                decision = self._future_verdict(rec)
                 if decision is PredValue.TRUE:
-                    self._handle_nonspeculative_fault(op, fault)
+                    self._handle_nonspeculative_fault(rec, fault)
                     fault = None
                 elif decision is PredValue.FALSE:
                     fault = None
         if fault is not None:
             self._maybe_fault = True
             if self._forensics:
-                self._forensic_fault("fault.buffer", fault, op.pred)
+                self._forensic_fault("fault.buffer", fault, rec.pred)
         taint = None
         if self._taint:
             taint = merge_taint(
-                self._src_taint(op, 0),
-                rekind_address(self._src_taint(op, 1)),
+                self._src_taint(rec, 0),
+                rekind_address(self._src_taint(rec, 1)),
             )
             taint = self._sink_taint(
-                op, taint, speculative, "memory", f"mem[{address}] = {value}"
+                rec, taint, speculative, "memory", f"mem[{address}] = {value}"
             )
             if taint is not None and not speculative:
                 tracker = self.taint
@@ -931,7 +964,7 @@ class VLIWMachine:
         serial = self.store_buffer.append(
             address,
             value,
-            op.pred,
+            rec.pred,
             speculative=speculative,
             fault=fault,
             taint=taint,
@@ -943,11 +976,11 @@ class VLIWMachine:
                 self._region_name(),
                 "sb.insert",
                 f"entry {serial}: mem[{address}] = {value}",
-                str(op.pred) if speculative else None,
+                str(rec.pred) if speculative else None,
             )
         if self._cycle_events is not None and speculative:
             self._cycle_events.speculative_writes.append(
-                (f"sb{serial}", str(op.pred))
+                (f"sb{serial}", str(rec.pred))
             )
 
     # ------------------------------------------------------------------
@@ -955,7 +988,7 @@ class VLIWMachine:
     # ------------------------------------------------------------------
     def _handle_fault(
         self,
-        op: Instruction,
+        rec: DecodedOp,
         speculative: bool,
         fault: FaultRecord,
         retry: Callable[[], int],
@@ -968,58 +1001,57 @@ class VLIWMachine:
         the E flag again.
         """
         if not speculative:
-            self._handle_nonspeculative_fault(op, fault)
+            self._handle_nonspeculative_fault(rec, fault)
             value = retry()  # the handler repaired state; must now succeed
-            self._schedule_writeback(op, value, speculative=False)
+            self._schedule_writeback(rec, value, speculative=False)
             return
-        decision = self._future_verdict(op)
+        decision = self._future_verdict(rec)
         if decision is PredValue.TRUE:
-            self._handle_nonspeculative_fault(op, fault)
+            self._handle_nonspeculative_fault(rec, fault)
             value = retry()
-            self._schedule_writeback(op, value, speculative=True)
+            self._schedule_writeback(rec, value, speculative=True)
         elif decision is PredValue.FALSE:
-            self._schedule_writeback(op, 0, speculative=True)
+            self._schedule_writeback(rec, 0, speculative=True)
         else:
             if self._forensics:
-                self._forensic_fault("fault.buffer", fault, op.pred)
-            self._schedule_writeback(op, 0, speculative=True, fault=fault)
+                self._forensic_fault("fault.buffer", fault, rec.pred)
+            self._schedule_writeback(rec, 0, speculative=True, fault=fault)
 
-    def _future_verdict(self, op: Instruction) -> PredValue:
-        """Decide *op*'s fault fate: UNSPEC outside recovery (buffer it)."""
+    def _future_verdict(self, rec: DecodedOp) -> PredValue:
+        """Decide *rec*'s fault fate: UNSPEC outside recovery (buffer it)."""
         if self.mode is MachineMode.NORMAL or self.future_ccr is None:
             return PredValue.UNSPEC
-        return self.future_ccr.evaluate(op.pred)
+        return self.future_ccr.evaluate(rec.pred)
 
     def _handle_nonspeculative_fault(
-        self, op: Instruction, fault: FaultRecord
+        self, rec: DecodedOp, fault: FaultRecord
     ) -> None:
         if self.fault_handler is None or not self.fault_handler(fault, self):
             if self._forensics:
-                self._forensic_fault("fault.unhandled", fault, op.pred)
+                self._forensic_fault("fault.unhandled", fault, rec.pred)
             raise UnhandledFault(fault)
         self.handled_faults += 1
         if self._observing:
             self.sink.count("machine.faults.handled")
         if self._forensics:
-            self._forensic_fault("fault.handled", fault, op.pred)
+            self._forensic_fault("fault.handled", fault, rec.pred)
 
     # ------------------------------------------------------------------
     # Operand access and writeback.
     # ------------------------------------------------------------------
-    def _read_src(self, op: Instruction, source_number: int) -> int:
-        positions = op.source_positions
-        position = positions[source_number]
-        reg = op.src_regs[source_number]
-        return self.regfile.read(
-            reg, shadow=position in op.shadow, reader_pred=op.pred
-        )
+    def _read_src(self, rec: DecodedOp, source_number: int) -> int:
+        reg, shadow = rec.srcs[source_number]
+        entry = self.regfile.entries[reg]
+        if shadow and entry.pending:
+            return self.regfile.read(reg, shadow=True, reader_pred=rec.pred)
+        return entry.sequential
 
-    def _source_values(self, op: Instruction) -> list[int]:
+    def _source_values(self, rec: DecodedOp) -> list[int]:
         values = [
-            self._read_src(op, number) for number in range(len(op.src_regs))
+            self._read_src(rec, number) for number in range(len(rec.srcs))
         ]
-        if op.imm is not None:
-            values.append(op.imm)
+        if rec.imm is not None:
+            values.append(rec.imm)
         return values
 
     # ------------------------------------------------------------------
@@ -1028,28 +1060,27 @@ class VLIWMachine:
     # pays one branch per site and none of these methods execute.
     # ------------------------------------------------------------------
     def _src_taint(
-        self, op: Instruction, source_number: int
+        self, rec: DecodedOp, source_number: int
     ) -> frozenset[TaintTag] | None:
         """The taint the matching :meth:`_read_src` observed: a shadow
         hit's buffered taint, else the sequential register's tracker
         taint."""
-        positions = op.source_positions
-        reg = op.src_regs[source_number]
-        if positions[source_number] in op.shadow:
-            hit, taint = self.regfile.shadow_taint(reg, op.pred)
+        reg, shadow = rec.srcs[source_number]
+        if shadow:
+            hit, taint = self.regfile.shadow_taint(reg, rec.pred)
             if hit:
                 return taint
         return self.taint.reg_taint.get(reg)
 
-    def _operand_taint(self, op: Instruction) -> frozenset[TaintTag] | None:
+    def _operand_taint(self, rec: DecodedOp) -> frozenset[TaintTag] | None:
         taint: frozenset[TaintTag] | None = None
-        for number in range(len(op.src_regs)):
-            taint = merge_taint(taint, self._src_taint(op, number))
+        for number in range(len(rec.srcs)):
+            taint = merge_taint(taint, self._src_taint(rec, number))
         return taint
 
     def _load_taint(
         self,
-        op: Instruction,
+        rec: DecodedOp,
         address: int,
         reader_pred: Predicate,
         speculative: bool,
@@ -1061,7 +1092,7 @@ class VLIWMachine:
         hit, taint = self.store_buffer.lookup_taint(address, reader_pred)
         if not hit:
             taint = self.taint.mem_taint.get(address)
-        taint = merge_taint(taint, rekind_address(self._src_taint(op, 0)))
+        taint = merge_taint(taint, rekind_address(self._src_taint(rec, 0)))
         if speculative:
             taint = merge_taint(
                 taint,
@@ -1073,7 +1104,7 @@ class VLIWMachine:
 
     def _sink_taint(
         self,
-        op: Instruction,
+        rec: DecodedOp,
         taint: frozenset[TaintTag] | None,
         speculative: bool,
         kind: str,
@@ -1092,7 +1123,7 @@ class VLIWMachine:
         """
         if taint is None or speculative:
             return taint
-        if op.pred.is_always:
+        if rec.pred.is_always:
             self.taint.leak(
                 kind, self.cycle, self.pc, self._region_name(), detail, taint
             )
@@ -1128,72 +1159,73 @@ class VLIWMachine:
 
     def _schedule_writeback(
         self,
-        op: Instruction,
+        rec: DecodedOp,
         value: int,
         speculative: bool,
         fault: FaultRecord | None = None,
         taint: frozenset[TaintTag] | None = None,
     ) -> None:
-        dest = op.dest_reg
+        dest = rec.dest
         if dest is None:
             return
         if fault is not None:
             self._maybe_fault = True
-        if taint is not None and not speculative and not op.pred.is_always:
+        if taint is not None and not speculative and not rec.pred.is_always:
             # A predicated op whose verdict was TRUE at issue flies with
             # the ALWAYS predicate below, which would defeat the
             # is_always leak test at commit -- declassify here instead
             # (the op's own speculation is already confirmed).
             self.taint.declassify()
             taint = None
-        pred = op.pred if speculative else ALWAYS
         self._in_flight.append(
             _InFlight(
-                due_cycle=self.cycle + op.latency - 1,
-                reg=dest,
-                value=value,
-                pred=pred,
-                fault=fault,
-                taint=taint,
+                self.cycle + rec.latency - 1,
+                dest,
+                value,
+                rec.pred if speculative else ALWAYS,
+                fault,
+                taint,
             )
         )
 
     def _apply_due_writebacks(self, ccr: CCR) -> None:
+        cycle = self.cycle
+        regfile = self.regfile
         still_flying: list[_InFlight] = []
         for entry in self._in_flight:
-            if entry.due_cycle > self.cycle:
+            if entry.due_cycle > cycle:
                 still_flying.append(entry)
                 continue
-            verdict = ccr.evaluate(entry.pred)
-            if verdict is PredValue.TRUE:
+            pred = entry.pred
+            care = pred.care
+            if care & ~ccr.spec:  # UNSPEC: to the shadow storage
+                regfile.write_speculative(
+                    entry.reg,
+                    entry.value,
+                    pred,
+                    fault=entry.fault,
+                    taint=entry.taint,
+                )
+                if self._cycle_events is not None:
+                    self._cycle_events.speculative_writes.append(
+                        (f"r{entry.reg}", str(pred))
+                    )
+                if self._forensics:
+                    self._forensic_writeback(entry, shadow=True)
+            elif not (ccr.val ^ pred.bits) & care:  # TRUE: sequential
                 if entry.fault is not None:
                     # Unreachable: _exception_commits scans in-flight
                     # faults before any CCR update can make them TRUE.
                     raise AssertionError(
                         "exception commit escaped the combinational check"
                     )
-                self.regfile.supersede_pending(entry.reg, ccr)
-                self.regfile.write_sequential(entry.reg, entry.value)
+                regfile.write_committed(entry.reg, entry.value, ccr)
                 if self._taint:
                     self._commit_taint(entry)
                 if self._cycle_events is not None:
                     self._cycle_events.sequential_writes.append(entry.reg)
                 if self._forensics:
                     self._forensic_writeback(entry, shadow=False)
-            elif verdict is PredValue.UNSPEC:
-                self.regfile.write_speculative(
-                    entry.reg,
-                    entry.value,
-                    entry.pred,
-                    fault=entry.fault,
-                    taint=entry.taint,
-                )
-                if self._cycle_events is not None:
-                    self._cycle_events.speculative_writes.append(
-                        (f"r{entry.reg}", str(entry.pred))
-                    )
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=True)
             # FALSE: discarded.
         self._in_flight = still_flying
 
@@ -1203,8 +1235,7 @@ class VLIWMachine:
             if entry.fault is None and (
                 self.ccr.evaluate(entry.pred) is PredValue.TRUE
             ):
-                self.regfile.supersede_pending(entry.reg, self.ccr)
-                self.regfile.write_sequential(entry.reg, entry.value)
+                self.regfile.write_committed(entry.reg, entry.value, self.ccr)
                 if self._taint:
                     self._commit_taint(entry)
                 if self._forensics:
@@ -1300,8 +1331,9 @@ class VLIWMachine:
     # ------------------------------------------------------------------
     # Transfers and halt.
     # ------------------------------------------------------------------
-    def _transfer(self, target: str) -> None:
-        destination = self.program.resolve(target)
+    def _transfer(self, rec: DecodedOp) -> None:
+        target = rec.target
+        destination = rec.target_pc
         self._flush_in_flight()
         if self._forensics and self.flight.enabled:
             kind = (

@@ -25,15 +25,27 @@ from dataclasses import dataclass
 
 from repro.core.exceptions import FaultKind, FaultRecord, UnhandledFault
 from repro.ir.cfg import CFG
+from repro.isa.decode import (
+    ALU,
+    BRANCH,
+    COND,
+    HALT,
+    JUMP,
+    LOAD,
+    OUT,
+    STORE,
+    DecodedOp,
+)
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.isa.registers import NUM_CREGS, NUM_REGS, ZERO_REG
 from repro.isa.printer import format_instruction
 from repro.isa.semantics import (
+    I64_MAX,
+    I64_MIN,
     ArithmeticFault,
-    eval_alu,
-    eval_cond,
     effective_address,
+    to_i64,
 )
 from repro.obs.diagnostics import InterpreterSnapshot
 from repro.obs.effects import EffectStream
@@ -149,6 +161,15 @@ class Interpreter:
         self._started = False
         self._halted = False
 
+        # Decode once: one issue-ready record per instruction, with
+        # transfer targets resolved.
+        resolve = program.resolve
+        self._decoded = [
+            DecodedOp(instruction, resolve)
+            for instruction in program.instructions
+        ]
+        self._length = len(self._decoded)
+
         self.trace: DynamicTrace | None = None
         self._block_of_index: dict[int, int] = {}
         if cfg is not None:
@@ -156,13 +177,18 @@ class Interpreter:
             self._block_of_index = {
                 index: bid for bid, index in getattr(cfg, "start_of", {}).items()
             }
+            # The block each instruction belongs to (-1 before the first
+            # block start): a branch's trace event names it without a
+            # backward walk to the block start.
+            self._block_at: list[int] = []
+            block = -1
+            for index in range(self._length):
+                block = self._block_of_index.get(index, block)
+                self._block_at.append(block)
 
     # ------------------------------------------------------------------
     # Register access.
     # ------------------------------------------------------------------
-    def read_reg(self, reg: int) -> int:
-        return 0 if reg == ZERO_REG else self.registers[reg]
-
     def write_reg(self, reg: int, value: int) -> None:
         if reg != ZERO_REG:
             self.registers[reg] = value
@@ -186,7 +212,7 @@ class Interpreter:
         if not self._started:
             self._started = True
             self._note_block_entry(self.pc)
-        if self._halted or self.pc >= len(self.program.instructions):
+        if self._halted or self.pc >= self._length:
             return False
         if self.steps >= self.max_steps:
             raise StepLimitExceeded(
@@ -194,14 +220,14 @@ class Interpreter:
                 snapshot=self.snapshot(),
                 partial=self._result(halted=False),
             )
-        instruction = self.program.instructions[self.pc]
-        if instruction.opcode == "halt":
+        rec = self._decoded[self.pc]
+        if rec.kind == HALT:
             self.steps += 1
             self.scalar_cycles += 1
             self._halted = True
             return False
-        self._step(instruction)
-        return self.pc < len(self.program.instructions)
+        self._step(rec)
+        return self.pc < self._length
 
     @property
     def halted(self) -> bool:
@@ -211,7 +237,8 @@ class Interpreter:
         """The collected result of the run so far."""
         return self._result(halted=self._halted)
 
-    def _step(self, instruction: Instruction) -> None:
+    def _step(self, rec: DecodedOp) -> None:
+        """Execute one decoded instruction: dispatch on its kind."""
         self.steps += 1
         self.scalar_cycles += 1
         if self._forensics and self.flight.enabled:
@@ -220,142 +247,80 @@ class Interpreter:
                 self.pc,
                 self._region_name(),
                 "issue",
-                format_instruction(instruction),
+                format_instruction(rec.op),
             )
         observing = self.sink.enabled
         if observing:
             self.sink.count("scalar.instructions")
             self.sink.count("scalar.cycles")
-        if self._uses_loaded_value(instruction):
+        last_load = self._last_load_dest
+        if last_load is not None and (
+            last_load == rec.src0 or last_load == rec.src1
+        ):
             self.scalar_cycles += 1  # load-use interlock stall
             if observing:
                 self.sink.count("scalar.cycles")
                 self.sink.count("scalar.load_use_stalls")
         next_load_dest: int | None = None
 
-        opcode = instruction.opcode
+        kind = rec.kind
+        regs = self.registers  # r0 is never written, so regs[0] == 0
         taken_transfer = False
         next_pc = self.pc + 1
 
         try:
-            if opcode == "ld":
-                address = effective_address(
-                    self.read_reg(instruction.src_regs[0]), instruction.imm or 0
-                )
+            if kind == ALU or kind == COND:
+                a = rec.imm if rec.src0 is None else regs[rec.src0]
+                if rec.unary:
+                    value = rec.fn(a)
+                else:
+                    b = rec.imm if rec.src1 is None else regs[rec.src1]
+                    value = rec.fn(a, b)
+                if kind == ALU:
+                    if not I64_MIN <= value <= I64_MAX:
+                        value = to_i64(value)
+                    self.write_reg(rec.dest, value)
+                    if self._taint:
+                        self._set_reg_taint(
+                            rec.dest, self._union_reg_taint(rec.op.src_regs)
+                        )
+                    if self._forensics:
+                        self._forensic_reg(rec.dest, value)
+                else:
+                    self._set_condition(rec, value)
+            elif kind == LOAD:
+                address = effective_address(regs[rec.src0], rec.imm)
                 value = self.memory.load(address)
-                self.write_reg(instruction.dest_reg, value)
+                self.write_reg(rec.dest, value)
                 if self._taint:
                     loaded = merge_taint(
                         self.taint.mem_taint.get(address),
-                        rekind_address(
-                            self.taint.reg_taint.get(instruction.src_regs[0])
-                        ),
+                        rekind_address(self.taint.reg_taint.get(rec.src0)),
                     )
-                    self._set_reg_taint(instruction.dest_reg, loaded)
+                    self._set_reg_taint(rec.dest, loaded)
                 if self._forensics:
-                    self._forensic_reg(instruction.dest_reg, value)
-                next_load_dest = instruction.dest_reg
-            elif opcode == "st":
-                value_reg, addr_reg = instruction.src_regs
-                address = effective_address(
-                    self.read_reg(addr_reg), instruction.imm or 0
-                )
-                value = self.read_reg(value_reg)
-                self.memory.store(address, value)
-                if self._taint:
-                    stored = merge_taint(
-                        self.taint.reg_taint.get(value_reg),
-                        rekind_address(self.taint.reg_taint.get(addr_reg)),
-                    )
-                    if stored is not None:
-                        self.taint.leak(
-                            "memory",
-                            self.scalar_cycles,
-                            self.pc,
-                            self._region_name(),
-                            f"mem[{address}] = {value}",
-                            stored,
-                        )
-                        self.taint.mem_taint[address] = merge_taint(
-                            self.taint.mem_taint.get(address), stored
-                        )
-                    else:
-                        self.taint.mem_taint.pop(address, None)
-                if self._forensics:
-                    self._forensic_mem(address, value)
-            elif opcode == "out":
-                value = self.read_reg(instruction.src_regs[0])
-                self.output.append(value)
-                if self._taint:
-                    emitted = self.taint.reg_taint.get(instruction.src_regs[0])
-                    if emitted is not None:
-                        self.taint.leak(
-                            "output",
-                            self.scalar_cycles,
-                            self.pc,
-                            self._region_name(),
-                            f"out {value}",
-                            emitted,
-                        )
-                if self._forensics:
-                    self._forensic_out(value)
-            elif opcode == "br" or opcode == "brf":
-                condition = self.cregs[instruction.src_cregs[0]]
-                taken = condition if opcode == "br" else not condition
+                    self._forensic_reg(rec.dest, value)
+                next_load_dest = rec.dest
+            elif kind == BRANCH:
+                condition = self.cregs[rec.creg]
+                taken = condition if rec.sense else not condition
                 if self.trace is not None:
-                    block = self._block_of_index.get(self._current_block_start(), -1)
-                    self.trace.record_branch(block, instruction.uid, taken)
+                    self.trace.record_branch(
+                        self._block_at[self.pc], rec.op.uid, taken
+                    )
                 if taken:
-                    next_pc = self.program.resolve(instruction.target)
+                    next_pc = rec.target_pc
                     taken_transfer = True
-            elif opcode == "jmp":
-                next_pc = self.program.resolve(instruction.target)
+            elif kind == JUMP:
+                next_pc = rec.target_pc
                 taken_transfer = True
-            elif opcode == "nop":
-                pass
-            elif instruction.is_cond_set:
-                values = [self.read_reg(r) for r in instruction.src_regs]
-                if instruction.imm is not None:
-                    values.append(instruction.imm)
-                condition = eval_cond(opcode, *values)
-                self.cregs[instruction.dest_creg] = condition
-                if self._taint:
-                    operand = self._union_reg_taint(instruction.src_regs)
-                    if operand is not None:
-                        self.taint.ccr_write(
-                            instruction.dest_creg,
-                            operand,
-                            self.scalar_cycles,
-                            self.pc,
-                            self._region_name(),
-                        )
-                    else:
-                        self.taint.ccr_taint.pop(
-                            instruction.dest_creg, None
-                        )
-                if self._forensics and self.flight.enabled:
-                    self.flight.record(
-                        self.scalar_cycles,
-                        self.pc,
-                        self._region_name(),
-                        "ccr.write",
-                        f"c{instruction.dest_creg} = {int(condition)}",
-                    )
-            else:
-                values = [self.read_reg(r) for r in instruction.src_regs]
-                if instruction.imm is not None:
-                    values.append(instruction.imm)
-                value = eval_alu(opcode, *values)
-                self.write_reg(instruction.dest_reg, value)
-                if self._taint:
-                    self._set_reg_taint(
-                        instruction.dest_reg,
-                        self._union_reg_taint(instruction.src_regs),
-                    )
-                if self._forensics:
-                    self._forensic_reg(instruction.dest_reg, value)
+            elif kind == STORE:
+                self._store(rec)
+            elif kind == OUT:
+                self._out(rec)
+            # NOP: nothing to do.
         except (MemoryFault, ArithmeticFault) as error:
-            fault = _fault_record(error, instruction)
+            fault = _fault_record(error, rec.op)
             if self.fault_handler is None or not self.fault_handler(fault, self):
                 if self._forensics:
                     self._forensic_fault("fault.unhandled", fault)
@@ -382,8 +347,75 @@ class Interpreter:
                 )
         self._last_load_dest = next_load_dest
         self.pc = next_pc
-        if taken_transfer or self.pc in self._block_of_index:
-            self._note_block_entry(self.pc)
+        if taken_transfer or next_pc in self._block_of_index:
+            self._note_block_entry(next_pc)
+
+    def _set_condition(self, rec: DecodedOp, condition: bool) -> None:
+        self.cregs[rec.creg] = condition
+        if self._taint:
+            operand = self._union_reg_taint(rec.op.src_regs)
+            if operand is not None:
+                self.taint.ccr_write(
+                    rec.creg,
+                    operand,
+                    self.scalar_cycles,
+                    self.pc,
+                    self._region_name(),
+                )
+            else:
+                self.taint.ccr_taint.pop(rec.creg, None)
+        if self._forensics and self.flight.enabled:
+            self.flight.record(
+                self.scalar_cycles,
+                self.pc,
+                self._region_name(),
+                "ccr.write",
+                f"c{rec.creg} = {int(condition)}",
+            )
+
+    def _store(self, rec: DecodedOp) -> None:
+        value_reg, addr_reg = rec.src0, rec.src1
+        address = effective_address(self.registers[addr_reg], rec.imm)
+        value = self.registers[value_reg]
+        self.memory.store(address, value)
+        if self._taint:
+            stored = merge_taint(
+                self.taint.reg_taint.get(value_reg),
+                rekind_address(self.taint.reg_taint.get(addr_reg)),
+            )
+            if stored is not None:
+                self.taint.leak(
+                    "memory",
+                    self.scalar_cycles,
+                    self.pc,
+                    self._region_name(),
+                    f"mem[{address}] = {value}",
+                    stored,
+                )
+                self.taint.mem_taint[address] = merge_taint(
+                    self.taint.mem_taint.get(address), stored
+                )
+            else:
+                self.taint.mem_taint.pop(address, None)
+        if self._forensics:
+            self._forensic_mem(address, value)
+
+    def _out(self, rec: DecodedOp) -> None:
+        value = self.registers[rec.src0]
+        self.output.append(value)
+        if self._taint:
+            emitted = self.taint.reg_taint.get(rec.src0)
+            if emitted is not None:
+                self.taint.leak(
+                    "output",
+                    self.scalar_cycles,
+                    self.pc,
+                    self._region_name(),
+                    f"out {value}",
+                    emitted,
+                )
+        if self._forensics:
+            self._forensic_out(value)
 
     # ------------------------------------------------------------------
     # Taint plumbing (guarded by ``self._taint`` at every call site).
@@ -404,12 +436,6 @@ class Interpreter:
         for reg in regs:
             taint = merge_taint(taint, self.taint.reg_taint.get(reg))
         return taint
-
-    def _uses_loaded_value(self, instruction: Instruction) -> bool:
-        return (
-            self._last_load_dest is not None
-            and self._last_load_dest in instruction.src_regs
-        )
 
     # ------------------------------------------------------------------
     # Trace bookkeeping.
@@ -488,13 +514,6 @@ class Interpreter:
                 pc=self.pc,
                 region=region,
             )
-
-    def _current_block_start(self) -> int:
-        """Start index of the block containing the current pc."""
-        index = self.pc
-        while index not in self._block_of_index and index > 0:
-            index -= 1
-        return index
 
     def snapshot(self) -> InterpreterSnapshot:
         """Where the interpreter is right now (block path needs a CFG)."""

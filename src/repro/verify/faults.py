@@ -117,10 +117,10 @@ class InjectingMachine(VLIWMachine):
     # -- injection targets ---------------------------------------------
     def _undecided(self, pred) -> bool:
         """Undecided now *and* under the future condition (recovery)."""
-        if pred.evaluate(self.ccr.values()) is not PredValue.UNSPEC:
+        if self.ccr.evaluate(pred) is not PredValue.UNSPEC:
             return False
         if self.future_ccr is not None:
-            return pred.evaluate(self.future_ccr.values()) is PredValue.UNSPEC
+            return self.future_ccr.evaluate(pred) is PredValue.UNSPEC
         return True
 
     def _try_inject(self) -> str | None:
@@ -196,10 +196,10 @@ class _ProbeMachine(VLIWMachine):
         }
 
     def _undecided(self, pred) -> bool:
-        if pred.evaluate(self.ccr.values()) is not PredValue.UNSPEC:
+        if self.ccr.evaluate(pred) is not PredValue.UNSPEC:
             return False
         if self.future_ccr is not None:
-            return pred.evaluate(self.future_ccr.values()) is PredValue.UNSPEC
+            return self.future_ccr.evaluate(pred) is PredValue.UNSPEC
         return True
 
     def _tick(self) -> None:

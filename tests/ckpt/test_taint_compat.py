@@ -49,7 +49,7 @@ def _entry_taints(machine: VLIWMachine) -> list:
     for entry in machine.regfile.entries:
         taints.extend(write.taint for write in entry.pending)
     taints.extend(
-        entry.taint for _, entry in machine.store_buffer._entries
+        entry.taint for _, entry in machine.store_buffer.entries
     )
     taints.extend(flight.taint for flight in machine._in_flight)
     return taints

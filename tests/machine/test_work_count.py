@@ -1,0 +1,148 @@
+"""Deterministic work counts for the two executors.
+
+Wall-clock speed depends on the host; the number of Python calls an
+executor makes per unit of simulated work does not.  These tests run
+compress under ``region_pred`` with every observer off (no sink, tracer,
+flight recorder, effect stream or taint tracker), count calls with
+``sys.setprofile`` -- Python-level calls and builtin (C) calls alike --
+and pin:
+
+* the structural zero-cost rule: a machine run with observers off makes
+  no call into ``repro.obs`` or ``repro.taint`` at all (the timing check
+  in ``tests/obs/test_zero_cost.py`` stays beside this one);
+* the decoded machine core's calls per simulated cycle;
+* the decoded interpreter's calls per executed instruction, on the
+  scalar evaluation run (trace recording on, as the pipeline runs it).
+
+Only the run is counted; decoding happens once, at construction.  On a
+failure the per-module breakdown is printed, so a regression points at
+the module that started paying.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.compiler.pipeline import compile_program, train_predictor
+from repro.ir.cfg import build_cfg
+from repro.machine.config import base_machine
+from repro.machine.vliw import VLIWMachine
+from repro.sim.interpreter import Interpreter
+from repro.workloads import get_workload
+
+#: Python + builtin calls per simulated machine cycle.
+MAX_MACHINE_CALLS_PER_CYCLE = 45
+#: Python + builtin calls per scalar instruction.
+MAX_SCALAR_CALLS_PER_INSTRUCTION = 8
+
+_REPRO_ROOT = Path(repro.__file__).resolve().parent
+
+
+def _module_of(filename: str) -> str:
+    """``repro/machine/vliw.py`` -> ``machine/vliw.py``; others by name."""
+    if filename.startswith("<"):
+        return filename  # generated code, e.g. a dataclass __init__
+    path = Path(filename)
+    try:
+        return path.resolve().relative_to(_REPRO_ROOT).as_posix()
+    except (OSError, ValueError):
+        return f"<{path.name}>"
+
+
+def _count_calls(run) -> tuple[object, Counter[str]]:
+    """Run *run()* under a profiler; calls per module.
+
+    A builtin call is charged to the module that made it, under
+    ``"<module> (builtin)"``.
+    """
+    calls: Counter[str] = Counter()
+    modules: dict[str, str] = {}
+
+    def module(frame) -> str:
+        filename = frame.f_code.co_filename
+        name = modules.get(filename)
+        if name is None:
+            name = modules[filename] = _module_of(filename)
+        return name
+
+    def profile(frame, event, arg) -> None:
+        if event == "call":
+            calls[module(frame)] += 1
+        elif event == "c_call":
+            calls[f"{module(frame)} (builtin)"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _breakdown(calls: Counter[str], units: int, unit: str) -> str:
+    lines = [f"calls per {unit}, by module:"]
+    for name, count in calls.most_common():
+        lines.append(f"  {count / units:8.2f}  {name}")
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def compress():
+    workload = get_workload("compress")
+    cfg = build_cfg(workload.program)
+    config = base_machine()
+    compiled = compile_program(
+        workload.program,
+        "region_pred",
+        config,
+        train_predictor(workload.program, cfg, workload.train_memory()),
+    )
+    return workload, cfg, config, compiled
+
+
+@pytest.fixture(scope="module")
+def machine_calls(compress):
+    workload, _, config, compiled = compress
+    machine = VLIWMachine(compiled.vliw, config, workload.eval_memory())
+    result, calls = _count_calls(machine.run)
+    return result, calls
+
+
+def test_machine_run_never_calls_observers(machine_calls):
+    result, calls = machine_calls
+    observer_calls = {
+        name: count
+        for name, count in calls.items()
+        if name.startswith(("obs/", "taint/"))
+    }
+    assert not observer_calls, (
+        f"observers off, yet the run called into them: {observer_calls}\n"
+        + _breakdown(calls, result.cycles, "cycle")
+    )
+
+
+def test_machine_calls_per_cycle(machine_calls):
+    result, calls = machine_calls
+    per_cycle = sum(calls.values()) / result.cycles
+    assert per_cycle <= MAX_MACHINE_CALLS_PER_CYCLE, (
+        f"{per_cycle:.1f} calls per cycle over {result.cycles} cycles "
+        f"(limit {MAX_MACHINE_CALLS_PER_CYCLE})\n"
+        + _breakdown(calls, result.cycles, "cycle")
+    )
+
+
+def test_scalar_calls_per_instruction(compress):
+    workload, cfg, _, _ = compress
+    interpreter = Interpreter(workload.program, workload.eval_memory(), cfg=cfg)
+    result, calls = _count_calls(interpreter.run)
+    per_instruction = sum(calls.values()) / result.steps
+    assert per_instruction <= MAX_SCALAR_CALLS_PER_INSTRUCTION, (
+        f"{per_instruction:.1f} calls per instruction over {result.steps} "
+        f"instructions (limit {MAX_SCALAR_CALLS_PER_INSTRUCTION})\n"
+        + _breakdown(calls, result.steps, "instruction")
+    )

@@ -5,6 +5,10 @@ batch must drain the in-flight jobs, flush the journal and exit
 ``128 + SIGTERM``; ``kill -9`` mid-batch must lose no accepted job --
 a restart with the same journal replays exactly the incomplete work and
 serves results byte-identical to an uninterrupted run.
+
+Each server starts in its own session, so its pool workers share its
+process group: a test that SIGKILLs the server (which then cannot stop
+its pool) kills the whole group, leaving no orphaned worker behind.
 """
 
 import json
@@ -32,7 +36,44 @@ def _spawn(*extra_args):
         stderr=subprocess.PIPE,
         env=env,
         text=True,
+        start_new_session=True,
     )
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of process group *pgid* that are still running.
+
+    Reads ``/proc`` where it exists, so exited-but-unreaped (zombie)
+    members do not count; elsewhere probes the group with signal 0.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
+
+
+def _kill_group(process) -> None:
+    """SIGKILL every process in *process*'s group (its pool workers)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group is already gone
 
 
 def _ledger_phases(journal_dir: Path) -> dict[str, str]:
@@ -128,6 +169,14 @@ class TestKillNineRestart:
         finally:
             if process.poll() is None:
                 process.kill()
+            # The killed server could not stop its pool worker, which
+            # would otherwise outlive the test as an orphan.
+            _kill_group(process)
+        _wait_for(
+            lambda: not _live_group_members(process.pid),
+            timeout=10.0,
+            message="server process group to exit",
+        )
         phases = _ledger_phases(journal_dir)
         assert sorted(phases.values()) == ["accepted", "done"]
 

@@ -422,7 +422,7 @@ def snapshot_interpreter(interpreter: Interpreter) -> dict:
         "output": list(interpreter.output),
         "memory": interpreter.memory.state_dict(),
         "last_load_dest": interpreter._last_load_dest,
-        "recent_blocks": list(interpreter._recent_blocks),
+        "recent_blocks": list(interpreter.recent_blocks),
         "started": interpreter._started,
         # Branch events carry instruction *uids*, which are process-local
         # identities; serialize them as instruction indices so a restore
@@ -500,10 +500,8 @@ def restore_interpreter(
     interpreter.cregs[:] = state["cregs"]
     interpreter.output[:] = state["output"]
     interpreter._last_load_dest = state["last_load_dest"]
-    interpreter._recent_blocks = deque(
-        state["recent_blocks"], maxlen=interpreter._recent_blocks.maxlen
-    )
     interpreter._started = state["started"]
+    # ``recent_blocks`` needs no restore: it is the trace's tail.
     if state["trace"] is not None and interpreter.trace is not None:
         interpreter.trace.blocks = list(state["trace"]["blocks"])
         interpreter.trace.branches = [

@@ -83,11 +83,21 @@ class CycleCount:
 
 
 class ScheduledCode:
-    """All units of a compiled program, keyed by header origin block."""
+    """All units of a compiled program, keyed by header origin block.
+
+    :meth:`count_cycles` walks a trace through a transition memo keyed
+    ``(unit header, tree node, next trace block)``: each entry is filled
+    once by :meth:`_transition`, so every later visit of the same tree
+    edge is one dict lookup.  The memo depends only on the units, never
+    on a trace or a machine config, so it stays valid across calls.
+    """
 
     def __init__(self, units: dict[int, ScheduledUnit], cfg: CFG):
         self.units = units
         self.cfg = cfg
+        self._transitions: dict[
+            tuple[int, int | None, int | None], tuple[int | None, int | None]
+        ] = {}
 
     def count_cycles(
         self, trace: DynamicTrace, config: MachineConfig
@@ -96,29 +106,40 @@ class ScheduledCode:
         from repro.machine.btb import BranchTargetBuffer
 
         blocks = trace.blocks
+        end = len(blocks)
+        transitions = self._transitions
         btb = (
             BranchTargetBuffer(config.btb_entries)
             if config.btb_entries is not None
             else None
         )
+        penalty_btb = config.taken_penalty_btb
+        penalty_indirect = config.taken_penalty_indirect
         total = 0
         entries = 0
         position = 0
         previous_header: int | None = None
-        while position < len(blocks):
+        while position < end:
             header = blocks[position]
-            unit = self.units.get(header)
-            if unit is None:
-                raise TraceWalkError(f"no unit headed by block {header}")
+            position += 1
+            node = None
+            while True:
+                successor = blocks[position] if position < end else None
+                key = (header, node, successor)
+                try:
+                    node, cycles = transitions[key]
+                except KeyError:
+                    node, cycles = transitions[key] = self._transition(*key)
+                if node is None:
+                    break
+                position += 1
             entries += 1
-            cycles, consumed = self._walk_unit(unit, blocks, position)
             total += cycles
             if btb is not None and not btb.access((previous_header, header)):
-                total += config.taken_penalty_indirect
+                total += penalty_indirect
             else:
-                total += config.taken_penalty_btb
+                total += penalty_btb
             previous_header = header
-            position += consumed
         return CycleCount(
             cycles=total,
             region_entries=entries,
@@ -126,48 +147,50 @@ class ScheduledCode:
             btb_misses=btb.misses if btb is not None else 0,
         )
 
-    def _walk_unit(
-        self, unit: ScheduledUnit, blocks: list[int], start: int
-    ) -> tuple[int, int]:
-        """Cycles spent in one visit of *unit*, and blocks consumed."""
+    def _transition(
+        self, header: int, node_id: int | None, next_origin: int | None
+    ) -> tuple[int | None, int | None]:
+        """One memo entry: where the walk goes from *node_id* (None: the
+        unit's root) when the trace continues with *next_origin* (None:
+        the trace ends).  ``(child, None)`` stays in the unit at node
+        *child*; ``(None, N)`` leaves it after N cycles.
+
+        The rules apply in order: a halt block leaves at its halt cycle;
+        the end of the trace leaves after the whole schedule; otherwise
+        the arm leading to *next_origin* enters a child, or leaves at
+        that arm's exit cycle.
+        """
+        unit = self.units.get(header)
+        if unit is None:
+            raise TraceWalkError(f"no unit headed by block {header}")
         tree = unit.tree
-        node = tree.nodes[tree.root]
-        consumed = 1
-        while True:
-            block = self.cfg.blocks[node.origin]
-            terminator = block.terminator
+        node = tree.nodes[tree.root if node_id is None else node_id]
+        block = self.cfg.blocks[node.origin]
+        terminator = block.terminator
+        if terminator is not None and terminator.opcode == "halt":
+            return None, unit.halt_cycle[node.node_id] + 1
+        if next_origin is None:
+            # Trace ended without halt (non-halting program tail).
+            return None, unit.length
 
-            if terminator is not None and terminator.opcode == "halt":
-                return unit.halt_cycle[node.node_id] + 1, consumed
-
-            position = start + consumed
-            if position >= len(blocks):
-                # Trace ended without halt (non-halting program tail).
-                return unit.length, consumed
-
-            next_origin = blocks[position]
-            arm = self._arm_for(node, block, next_origin)
-            child_id = node.children.get(arm)
-            if child_id is not None and tree.nodes[child_id].origin == next_origin:
-                node = tree.nodes[child_id]
-                consumed += 1
-                continue
-            key = (node.node_id, arm)
-            if key in unit.exit_cycle:
-                return unit.exit_cycle[key] + 1, consumed
-            raise TraceWalkError(
-                f"block {node.origin}: no child or exit for successor "
-                f"{next_origin} (arm {arm})"
-            )
-
-    def _arm_for(self, node, block, next_origin: int) -> bool | None:
-        """Which arm of *node* leads to *next_origin*."""
         if node.cond_index is None:
-            return True if node.children else None
-        if block.taken_target == next_origin:
-            return node.taken_value
-        if block.fall_through == next_origin:
-            return not node.taken_value
+            arm = True if node.children else None
+        elif block.taken_target == next_origin:
+            arm = node.taken_value
+        elif block.fall_through == next_origin:
+            arm = not node.taken_value
+        else:
+            raise TraceWalkError(
+                f"block {node.origin}: successor {next_origin} matches "
+                "neither arm"
+            )
+        child_id = node.children.get(arm)
+        if child_id is not None and tree.nodes[child_id].origin == next_origin:
+            return child_id, None
+        key = (node.node_id, arm)
+        if key in unit.exit_cycle:
+            return None, unit.exit_cycle[key] + 1
         raise TraceWalkError(
-            f"block {node.origin}: successor {next_origin} matches neither arm"
+            f"block {node.origin}: no child or exit for successor "
+            f"{next_origin} (arm {arm})"
         )

@@ -459,22 +459,26 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
 
         factor = spec.extra("factor", 1)
         if factor == 1:
+            # The program is unchanged: its training and evaluation runs
+            # are the baseline's.
             program = workload.program
+            predictor = baseline.predictor
+            evaluation = baseline.evaluation
         else:
             program = unroll_loops(
                 build_cfg(workload.program), factor
             ).to_program()
-        cfg = build_cfg(program)
-        predictor = train_predictor(program, cfg, workload.train_memory())
+            cfg = build_cfg(program)
+            predictor = train_predictor(program, cfg, workload.train_memory())
+            evaluation = run_scalar(program, cfg, workload.eval_memory())
+            if evaluation.output != baseline.evaluation.output:
+                raise AssertionError(
+                    f"{workload.name}: unrolling changed semantics"
+                )
         policy = dataclasses.replace(
             spec.resolved_policy() or REGION_PRED, window_blocks=16 * factor
         )
         compiled = compile_program(program, policy, spec.config, predictor)
-        evaluation = run_scalar(program, cfg, workload.eval_memory())
-        if evaluation.output != baseline.evaluation.output:
-            raise AssertionError(
-                f"{workload.name}: unrolling changed semantics"
-            )
         cycles = compiled.code.count_cycles(
             evaluation.trace, spec.config
         ).cycles

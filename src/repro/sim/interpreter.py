@@ -19,7 +19,6 @@ faulting program remain comparable.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -40,19 +39,13 @@ from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.isa.registers import NUM_CREGS, NUM_REGS, ZERO_REG
 from repro.isa.printer import format_instruction
-from repro.isa.semantics import (
-    I64_MAX,
-    I64_MIN,
-    ArithmeticFault,
-    effective_address,
-    to_i64,
-)
+from repro.isa.semantics import I64_MAX, I64_MIN, ArithmeticFault, to_i64
 from repro.obs.diagnostics import InterpreterSnapshot
 from repro.obs.effects import EffectStream
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.sim.memory import Memory, MemoryFault
-from repro.sim.trace import DynamicTrace
+from repro.sim.trace import BranchEvent, DynamicTrace
 from repro.taint.tags import merge_taint, rekind_address
 from repro.taint.track import NULL_TAINT, TaintTracker
 
@@ -106,7 +99,7 @@ class InterpreterResult:
 
 
 class Interpreter:
-    """Step-at-a-time scalar executor with trace and timing observers."""
+    """One-frame scalar executor with trace and timing observers."""
 
     def __init__(
         self,
@@ -146,6 +139,9 @@ class Interpreter:
         # sink check.  Guarded by one cached boolean like forensics.
         self.taint = taint
         self._taint = taint.enabled
+        # Any observer at all: the run loop writes its locals back before
+        # the observer sites only when this is set.
+        self._watching = sink.enabled or self._forensics or self._taint
         self._current_block: int | None = None
         self.registers = [0] * NUM_REGS
         self.cregs = [False] * NUM_CREGS
@@ -155,7 +151,6 @@ class Interpreter:
         self.scalar_cycles = 0
         self.handled_faults = 0
         self._last_load_dest: int | None = None
-        self._recent_blocks: deque[int] = deque(maxlen=RECENT_BLOCKS)
         # Run-loop state, promoted to fields so execution can pause and
         # resume at any step boundary (the checkpoint layer's contract).
         self._started = False
@@ -172,6 +167,7 @@ class Interpreter:
 
         self.trace: DynamicTrace | None = None
         self._block_of_index: dict[int, int] = {}
+        self._block_at: list[int] = []
         if cfg is not None:
             self.trace = DynamicTrace()
             self._block_of_index = {
@@ -180,67 +176,211 @@ class Interpreter:
             # The block each instruction belongs to (-1 before the first
             # block start): a branch's trace event names it without a
             # backward walk to the block start.
-            self._block_at: list[int] = []
             block = -1
             for index in range(self._length):
                 block = self._block_of_index.get(index, block)
                 self._block_at.append(block)
 
     # ------------------------------------------------------------------
-    # Register access.
-    # ------------------------------------------------------------------
-    def write_reg(self, reg: int, value: int) -> None:
-        if reg != ZERO_REG:
-            self.registers[reg] = value
-
-    # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
     def run(self) -> InterpreterResult:
         """Run to ``halt``; returns the collected result."""
-        while self.step():
-            pass
+        self._execute(None)
         return self._result(halted=self._halted)
 
     def step(self) -> bool:
-        """Execute one instruction.
+        """Execute one instruction: the run loop with a budget of one.
 
         Returns True while the program is still running; executing the
         ``halt`` instruction (or falling off the end) returns False.
         Step boundaries are the interpreter's checkpointable states.
         """
-        if not self._started:
-            self._started = True
-            self._note_block_entry(self.pc)
-        if self._halted or self.pc >= self._length:
-            return False
-        if self.steps >= self.max_steps:
-            raise StepLimitExceeded(
-                f"{self.program.name}: exceeded {self.max_steps} steps",
-                snapshot=self.snapshot(),
-                partial=self._result(halted=False),
-            )
-        rec = self._decoded[self.pc]
-        if rec.kind == HALT:
-            self.steps += 1
-            self.scalar_cycles += 1
-            self._halted = True
-            return False
-        self._step(rec)
-        return self.pc < self._length
+        return self._execute(1)
 
     @property
     def halted(self) -> bool:
         return self._halted
 
+    @property
+    def recent_blocks(self) -> tuple[int, ...]:
+        """The last CFG blocks entered (empty without a CFG)."""
+        if self.trace is None:
+            return ()
+        return tuple(self.trace.blocks[-RECENT_BLOCKS:])
+
     def result(self) -> InterpreterResult:
         """The collected result of the run so far."""
         return self._result(halted=self._halted)
 
-    def _step(self, rec: DecodedOp) -> None:
-        """Execute one decoded instruction: dispatch on its kind."""
-        self.steps += 1
-        self.scalar_cycles += 1
+    def _execute(self, budget: int | None) -> bool:
+        """The run loop: execute decoded instructions in this one frame.
+
+        Stops at ``halt``, at the end of the program, or after *budget*
+        instructions (None: no budget).  Returns True while the program
+        is still running.
+
+        ``pc``, ``steps``, ``scalar_cycles``, the last load's destination
+        and the current block live in locals.  They are written back to
+        the fields before every observer call, before the fault handler
+        (which receives the interpreter), before
+        :class:`StepLimitExceeded` and on exit, so hooks, handlers and
+        exceptions see exactly the state of a step-at-a-time executor;
+        after a handled fault they are reloaded.  Registers, CCR,
+        output, memory and the trace lists are mutated in place.
+        """
+        trace = self.trace
+        block_of_index = self._block_of_index
+        if not self._started:
+            self._started = True
+            if self.pc in block_of_index:
+                self._current_block = block_of_index[self.pc]
+                trace.blocks.append(self._current_block)
+        if self._halted:
+            return False
+
+        decoded = self._decoded
+        length = self._length
+        max_steps = self.max_steps
+        block_at = self._block_at
+        blocks = None if trace is None else trace.blocks
+        branches = None if trace is None else trace.branches
+        watching = self._watching
+        regs = self.registers  # r0 is never written, so regs[0] == 0
+        cregs = self.cregs
+        memory = self.memory
+        pc = self.pc
+        steps = self.steps
+        cycles = self.scalar_cycles
+        last_load = self._last_load_dest
+        current_block = self._current_block
+        stop = -1 if budget is None else steps + budget
+
+        while pc < length:
+            if steps >= max_steps:
+                self._write_back(pc, steps, cycles, last_load, current_block)
+                raise StepLimitExceeded(
+                    f"{self.program.name}: exceeded {max_steps} steps",
+                    snapshot=self.snapshot(),
+                    partial=self._result(halted=False),
+                )
+            rec = decoded[pc]
+            kind = rec.kind
+            steps += 1
+            cycles += 1
+            if kind == HALT:
+                self._halted = True
+                break
+            if watching:
+                self._write_back(pc, steps, cycles, last_load, current_block)
+                self._observe_issue(rec)
+            if last_load is not None and (
+                last_load == rec.src0 or last_load == rec.src1
+            ):
+                cycles += 1  # load-use interlock stall
+                if watching:
+                    self.scalar_cycles = cycles
+                    self._observe_stall()
+            next_pc = pc + 1
+            load_dest = None
+
+            try:
+                if kind == ALU or kind == COND:
+                    a = rec.imm if rec.src0 is None else regs[rec.src0]
+                    if rec.unary:
+                        value = rec.fn(a)
+                    else:
+                        b = rec.imm if rec.src1 is None else regs[rec.src1]
+                        value = rec.fn(a, b)
+                    if kind == ALU:
+                        if not I64_MIN <= value <= I64_MAX:
+                            value = to_i64(value)
+                        if rec.dest != ZERO_REG:
+                            regs[rec.dest] = value
+                        if watching:
+                            self._observe_reg_write(rec, value)
+                    else:
+                        cregs[rec.creg] = value
+                        if watching:
+                            self._observe_condition(rec, value)
+                elif kind == LOAD:
+                    address = regs[rec.src0] + rec.imm
+                    if not I64_MIN <= address <= I64_MAX:
+                        address = to_i64(address)
+                    value = memory.load(address)
+                    if rec.dest != ZERO_REG:
+                        regs[rec.dest] = value
+                    if watching:
+                        self._observe_reg_write(rec, value, address)
+                    load_dest = rec.dest
+                elif kind == BRANCH:
+                    condition = cregs[rec.creg]
+                    taken = condition if rec.sense else not condition
+                    if branches is not None:
+                        branches.append(
+                            BranchEvent(block_at[pc], rec.op.uid, taken)
+                        )
+                    if taken:
+                        next_pc = rec.target_pc
+                        cycles += 1  # taken-transfer penalty
+                        if watching:
+                            self.scalar_cycles = cycles
+                            self._observe_transfer(next_pc)
+                elif kind == JUMP:
+                    next_pc = rec.target_pc
+                    cycles += 1  # taken-transfer penalty
+                    if watching:
+                        self.scalar_cycles = cycles
+                        self._observe_transfer(next_pc)
+                elif kind == STORE:
+                    address = regs[rec.src1] + rec.imm
+                    if not I64_MIN <= address <= I64_MAX:
+                        address = to_i64(address)
+                    memory.store(address, regs[rec.src0])
+                    if watching:
+                        self._observe_store(rec, address)
+                elif kind == OUT:
+                    self.output.append(regs[rec.src0])
+                    if watching:
+                        self._observe_out(rec)
+                # NOP: nothing to do.
+            except (MemoryFault, ArithmeticFault) as error:
+                self._write_back(pc, steps, cycles, last_load, current_block)
+                self._handle_fault(error, rec)
+                # Re-execute the repaired instruction; the handler may
+                # have touched any field, so reload the loop's view.
+                pc, steps, cycles = self.pc, self.steps, self.scalar_cycles
+                last_load = self._last_load_dest
+                current_block = self._current_block
+                regs, cregs, memory = self.registers, self.cregs, self.memory
+                if steps == stop:
+                    break
+                continue
+
+            last_load = load_dest
+            pc = next_pc
+            if pc in block_of_index:
+                current_block = block_of_index[pc]
+                blocks.append(current_block)
+            if steps == stop:
+                break
+
+        self._write_back(pc, steps, cycles, last_load, current_block)
+        return not self._halted and pc < length
+
+    def _write_back(self, pc, steps, cycles, last_load, current_block) -> None:
+        """Store the run loop's locals in the fields."""
+        self.pc = pc
+        self.steps = steps
+        self.scalar_cycles = cycles
+        self._last_load_dest = last_load
+        self._current_block = current_block
+
+    # ------------------------------------------------------------------
+    # Observer sites (each guarded by ``self._watching`` in the loop, and
+    # entered with the loop's locals written back).
+    # ------------------------------------------------------------------
+    def _observe_issue(self, rec: DecodedOp) -> None:
         if self._forensics and self.flight.enabled:
             self.flight.record(
                 self.scalar_cycles,
@@ -249,109 +389,32 @@ class Interpreter:
                 "issue",
                 format_instruction(rec.op),
             )
-        observing = self.sink.enabled
-        if observing:
+        if self.sink.enabled:
             self.sink.count("scalar.instructions")
             self.sink.count("scalar.cycles")
-        last_load = self._last_load_dest
-        if last_load is not None and (
-            last_load == rec.src0 or last_load == rec.src1
-        ):
-            self.scalar_cycles += 1  # load-use interlock stall
-            if observing:
-                self.sink.count("scalar.cycles")
-                self.sink.count("scalar.load_use_stalls")
-        next_load_dest: int | None = None
 
-        kind = rec.kind
-        regs = self.registers  # r0 is never written, so regs[0] == 0
-        taken_transfer = False
-        next_pc = self.pc + 1
+    def _observe_stall(self) -> None:
+        if self.sink.enabled:
+            self.sink.count("scalar.cycles")
+            self.sink.count("scalar.load_use_stalls")
 
-        try:
-            if kind == ALU or kind == COND:
-                a = rec.imm if rec.src0 is None else regs[rec.src0]
-                if rec.unary:
-                    value = rec.fn(a)
-                else:
-                    b = rec.imm if rec.src1 is None else regs[rec.src1]
-                    value = rec.fn(a, b)
-                if kind == ALU:
-                    if not I64_MIN <= value <= I64_MAX:
-                        value = to_i64(value)
-                    self.write_reg(rec.dest, value)
-                    if self._taint:
-                        self._set_reg_taint(
-                            rec.dest, self._union_reg_taint(rec.op.src_regs)
-                        )
-                    if self._forensics:
-                        self._forensic_reg(rec.dest, value)
-                else:
-                    self._set_condition(rec, value)
-            elif kind == LOAD:
-                address = effective_address(regs[rec.src0], rec.imm)
-                value = self.memory.load(address)
-                self.write_reg(rec.dest, value)
-                if self._taint:
-                    loaded = merge_taint(
-                        self.taint.mem_taint.get(address),
-                        rekind_address(self.taint.reg_taint.get(rec.src0)),
-                    )
-                    self._set_reg_taint(rec.dest, loaded)
-                if self._forensics:
-                    self._forensic_reg(rec.dest, value)
-                next_load_dest = rec.dest
-            elif kind == BRANCH:
-                condition = self.cregs[rec.creg]
-                taken = condition if rec.sense else not condition
-                if self.trace is not None:
-                    self.trace.record_branch(
-                        self._block_at[self.pc], rec.op.uid, taken
-                    )
-                if taken:
-                    next_pc = rec.target_pc
-                    taken_transfer = True
-            elif kind == JUMP:
-                next_pc = rec.target_pc
-                taken_transfer = True
-            elif kind == STORE:
-                self._store(rec)
-            elif kind == OUT:
-                self._out(rec)
-            # NOP: nothing to do.
-        except (MemoryFault, ArithmeticFault) as error:
-            fault = _fault_record(error, rec.op)
-            if self.fault_handler is None or not self.fault_handler(fault, self):
-                if self._forensics:
-                    self._forensic_fault("fault.unhandled", fault)
-                raise UnhandledFault(fault) from error
-            self.handled_faults += 1
-            if observing:
-                self.sink.count("scalar.faults.handled")
-            if self._forensics:
-                self._forensic_fault("fault.handled", fault)
-            return  # re-execute the repaired instruction; pc unchanged
-
-        if taken_transfer:
-            self.scalar_cycles += 1  # taken-transfer penalty
-            if observing:
-                self.sink.count("scalar.cycles")
-                self.sink.count("scalar.taken_transfers")
-            if self._forensics and self.flight.enabled:
-                self.flight.record(
-                    self.scalar_cycles,
-                    self.pc,
-                    self._region_name(),
-                    "transfer",
-                    f"-> pc={next_pc}",
+    def _observe_reg_write(
+        self, rec: DecodedOp, value: int, address: int | None = None
+    ) -> None:
+        """An ALU result, or a load's value read from *address*."""
+        if self._taint:
+            if rec.kind == LOAD:
+                taint = merge_taint(
+                    self.taint.mem_taint.get(address),
+                    rekind_address(self.taint.reg_taint.get(rec.src0)),
                 )
-        self._last_load_dest = next_load_dest
-        self.pc = next_pc
-        if taken_transfer or next_pc in self._block_of_index:
-            self._note_block_entry(next_pc)
+            else:
+                taint = self._union_reg_taint(rec.op.src_regs)
+            self._set_reg_taint(rec.dest, taint)
+        if self._forensics:
+            self._forensic_reg(rec.dest, value)
 
-    def _set_condition(self, rec: DecodedOp, condition: bool) -> None:
-        self.cregs[rec.creg] = condition
+    def _observe_condition(self, rec: DecodedOp, condition: bool) -> None:
         if self._taint:
             operand = self._union_reg_taint(rec.op.src_regs)
             if operand is not None:
@@ -373,11 +436,22 @@ class Interpreter:
                 f"c{rec.creg} = {int(condition)}",
             )
 
-    def _store(self, rec: DecodedOp) -> None:
+    def _observe_transfer(self, next_pc: int) -> None:
+        if self.sink.enabled:
+            self.sink.count("scalar.cycles")
+            self.sink.count("scalar.taken_transfers")
+        if self._forensics and self.flight.enabled:
+            self.flight.record(
+                self.scalar_cycles,
+                self.pc,
+                self._region_name(),
+                "transfer",
+                f"-> pc={next_pc}",
+            )
+
+    def _observe_store(self, rec: DecodedOp, address: int) -> None:
         value_reg, addr_reg = rec.src0, rec.src1
-        address = effective_address(self.registers[addr_reg], rec.imm)
         value = self.registers[value_reg]
-        self.memory.store(address, value)
         if self._taint:
             stored = merge_taint(
                 self.taint.reg_taint.get(value_reg),
@@ -400,9 +474,8 @@ class Interpreter:
         if self._forensics:
             self._forensic_mem(address, value)
 
-    def _out(self, rec: DecodedOp) -> None:
+    def _observe_out(self, rec: DecodedOp) -> None:
         value = self.registers[rec.src0]
-        self.output.append(value)
         if self._taint:
             emitted = self.taint.reg_taint.get(rec.src0)
             if emitted is not None:
@@ -416,6 +489,19 @@ class Interpreter:
                 )
         if self._forensics:
             self._forensic_out(value)
+
+    def _handle_fault(self, error: Exception, rec: DecodedOp) -> None:
+        """Offer a fault to the handler; raise if it is not repaired."""
+        fault = _fault_record(error, rec.op)
+        if self.fault_handler is None or not self.fault_handler(fault, self):
+            if self._forensics:
+                self._forensic_fault("fault.unhandled", fault)
+            raise UnhandledFault(fault) from error
+        self.handled_faults += 1
+        if self.sink.enabled:
+            self.sink.count("scalar.faults.handled")
+        if self._forensics:
+            self._forensic_fault("fault.handled", fault)
 
     # ------------------------------------------------------------------
     # Taint plumbing (guarded by ``self._taint`` at every call site).
@@ -436,17 +522,6 @@ class Interpreter:
         for reg in regs:
             taint = merge_taint(taint, self.taint.reg_taint.get(reg))
         return taint
-
-    # ------------------------------------------------------------------
-    # Trace bookkeeping.
-    # ------------------------------------------------------------------
-    def _note_block_entry(self, index: int) -> None:
-        if index in self._block_of_index:
-            block = self._block_of_index[index]
-            self._current_block = block
-            self._recent_blocks.append(block)
-            if self.trace is not None:
-                self.trace.record_block(block)
 
     # ------------------------------------------------------------------
     # Forensics (guarded by ``self._forensics`` at every call site).
@@ -521,7 +596,7 @@ class Interpreter:
             pc=self.pc,
             steps=self.steps,
             scalar_cycles=self.scalar_cycles,
-            recent_blocks=tuple(self._recent_blocks),
+            recent_blocks=self.recent_blocks,
         )
 
     def _result(self, halted: bool) -> InterpreterResult:

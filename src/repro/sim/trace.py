@@ -37,9 +37,6 @@ class DynamicTrace:
     branches: list[BranchEvent] = field(default_factory=list)
     instruction_count: int = 0
 
-    def record_block(self, bid: int) -> None:
-        self.blocks.append(bid)
-
     def record_branch(self, block: int, uid: int, taken: bool) -> None:
         self.branches.append(BranchEvent(block, uid, taken))
 

@@ -1,4 +1,4 @@
-"""Deterministic work counts for the two executors.
+"""Deterministic work counts for the two executors and the counter.
 
 Wall-clock speed depends on the host; the number of Python calls an
 executor makes per unit of simulated work does not.  These tests run
@@ -7,12 +7,16 @@ flight recorder, effect stream or taint tracker), count calls with
 ``sys.setprofile`` -- Python-level calls and builtin (C) calls alike --
 and pin:
 
-* the structural zero-cost rule: a machine run with observers off makes
-  no call into ``repro.obs`` or ``repro.taint`` at all (the timing check
-  in ``tests/obs/test_zero_cost.py`` stays beside this one);
+* the structural zero-cost rule: a machine run and an interpreter run
+  with observers off make no call into ``repro.obs`` or ``repro.taint``
+  at all (the timing check in ``tests/obs/test_zero_cost.py`` stays
+  beside this one);
 * the decoded machine core's calls per simulated cycle;
-* the decoded interpreter's calls per executed instruction, on the
-  scalar evaluation run (trace recording on, as the pipeline runs it).
+* the one-frame interpreter loop's calls per executed instruction, on
+  the scalar evaluation run (trace recording on, as the pipeline runs
+  it);
+* the trace-driven cycle counter's calls per trace block, on a freshly
+  compiled ``ScheduledCode`` (its transition memo starts cold).
 
 Only the run is counted; decoding happens once, at construction.  On a
 failure the per-module breakdown is printed, so a regression points at
@@ -38,7 +42,9 @@ from repro.workloads import get_workload
 #: Python + builtin calls per simulated machine cycle.
 MAX_MACHINE_CALLS_PER_CYCLE = 45
 #: Python + builtin calls per scalar instruction.
-MAX_SCALAR_CALLS_PER_INSTRUCTION = 8
+MAX_SCALAR_CALLS_PER_INSTRUCTION = 3.5
+#: Python + builtin calls per trace block, memo filling included.
+MAX_COUNTER_CALLS_PER_TRACE_BLOCK = 2.0
 
 _REPRO_ROOT = Path(repro.__file__).resolve().parent
 
@@ -113,13 +119,17 @@ def machine_calls(compress):
     return result, calls
 
 
-def test_machine_run_never_calls_observers(machine_calls):
-    result, calls = machine_calls
-    observer_calls = {
+def _observer_calls(calls: Counter[str]) -> dict[str, int]:
+    return {
         name: count
         for name, count in calls.items()
         if name.startswith(("obs/", "taint/"))
     }
+
+
+def test_machine_run_never_calls_observers(machine_calls):
+    result, calls = machine_calls
+    observer_calls = _observer_calls(calls)
     assert not observer_calls, (
         f"observers off, yet the run called into them: {observer_calls}\n"
         + _breakdown(calls, result.cycles, "cycle")
@@ -136,13 +146,45 @@ def test_machine_calls_per_cycle(machine_calls):
     )
 
 
-def test_scalar_calls_per_instruction(compress):
+@pytest.fixture(scope="module")
+def scalar_calls(compress):
     workload, cfg, _, _ = compress
     interpreter = Interpreter(workload.program, workload.eval_memory(), cfg=cfg)
-    result, calls = _count_calls(interpreter.run)
+    return _count_calls(interpreter.run)
+
+
+def test_scalar_run_never_calls_observers(scalar_calls):
+    result, calls = scalar_calls
+    observer_calls = _observer_calls(calls)
+    assert not observer_calls, (
+        f"observers off, yet the run called into them: {observer_calls}\n"
+        + _breakdown(calls, result.steps, "instruction")
+    )
+
+
+def test_scalar_calls_per_instruction(scalar_calls):
+    result, calls = scalar_calls
     per_instruction = sum(calls.values()) / result.steps
     assert per_instruction <= MAX_SCALAR_CALLS_PER_INSTRUCTION, (
         f"{per_instruction:.1f} calls per instruction over {result.steps} "
         f"instructions (limit {MAX_SCALAR_CALLS_PER_INSTRUCTION})\n"
         + _breakdown(calls, result.steps, "instruction")
+    )
+
+
+def test_counter_calls_per_trace_block(compress, scalar_calls):
+    workload, cfg, config, _ = compress
+    trace = scalar_calls[0].trace
+    predictor = train_predictor(workload.program, cfg, workload.train_memory())
+    # A fresh ScheduledCode: its transition memo starts cold.
+    code = compile_program(
+        workload.program, "region_pred", config, predictor
+    ).code
+    _, calls = _count_calls(lambda: code.count_cycles(trace, config))
+    blocks = len(trace.blocks)
+    per_block = sum(calls.values()) / blocks
+    assert per_block <= MAX_COUNTER_CALLS_PER_TRACE_BLOCK, (
+        f"{per_block:.2f} calls per trace block over {blocks} blocks "
+        f"(limit {MAX_COUNTER_CALLS_PER_TRACE_BLOCK})\n"
+        + _breakdown(calls, blocks, "trace block")
     )

@@ -10,7 +10,7 @@ prediction-accuracy vector, a hardware-cost report.  A
   fields, the machine configuration and the cell kind, backing a durable
   on-disk cache (any change to any ingredient is a miss);
 * **shipped** -- specs are plain frozen dataclasses, so cache misses fan
-  out over a :class:`concurrent.futures.ProcessPoolExecutor`; and
+  out over worker processes (:mod:`repro.containment`); and
 * **merged deterministically** -- results come back in spec order
   regardless of which worker finished first, so a ``--jobs 4`` run
   produces byte-identical artifacts to a serial one.
@@ -30,8 +30,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -52,6 +50,7 @@ from repro.compiler.pipeline import (
     train_predictor,
 )
 from repro.compiler.policy import ModelPolicy
+from repro.containment import Containment, FailureCounts, Work
 from repro.eval import hwcost as hwcost_model
 from repro.ir.cfg import CFG, build_cfg
 from repro.isa.printer import format_program
@@ -60,7 +59,6 @@ from repro.machine.scalar import ScalarRun, run_scalar
 from repro.machine.vliw import VLIWMachine
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.runlog import NULL_RUN_LOG, RunLog
-from repro.serve.backoff import backoff_delay, terminate_pool
 from repro.workloads import Workload, all_workloads
 
 #: Bump to invalidate every cached cell (evaluator semantics changed).
@@ -348,7 +346,7 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
     """Compute one cell.  Pure: output depends only on the spec."""
     if spec.kind == "chaos":
         # Deliberate misbehaviour, for exercising the runner's failure
-        # paths (tests and the CI runner-timeout job).
+        # paths (tests and the CI containment job).
         mode = spec.extra("mode", "ok")
         if mode == "ok":
             return {"value": spec.extra("value", 1)}
@@ -499,13 +497,17 @@ def _set_worker_ctx(ctx: ExperimentContext | None) -> None:
     _worker_ctx = ctx
 
 
-def _pool_evaluate(spec: CellSpec) -> tuple[dict, int]:
+def _timed_cell(spec: CellSpec, ctx: ExperimentContext) -> tuple[dict, int]:
+    start = time.perf_counter_ns()
+    values = evaluate_cell(spec, ctx)
+    return values, time.perf_counter_ns() - start
+
+
+def _pool_evaluate(specs: tuple[CellSpec, ...]) -> list[tuple[dict, int]]:
     global _worker_ctx
     if _worker_ctx is None:
         _worker_ctx = ExperimentContext()
-    start = time.perf_counter_ns()
-    values = evaluate_cell(spec, _worker_ctx)
-    return values, time.perf_counter_ns() - start
+    return [_timed_cell(spec, _worker_ctx) for spec in specs]
 
 
 # ----------------------------------------------------------------------
@@ -533,19 +535,25 @@ def is_error_cell(cell: dict) -> bool:
     return isinstance(cell, dict) and "error" in cell
 
 
+#: The sink counters the runner reports containment failures under.
+_RUNNER_COUNTERS = {
+    "timeouts": "runner.cell_timeouts",
+    "crashes": "runner.worker_crashes",
+    "retries": "runner.retries",
+    "serial_fallbacks": "runner.serial_fallbacks",
+}
+
+
 @dataclass
-class RunnerStats:
-    """Cache and wall-time telemetry for one runner's lifetime."""
+class RunnerStats(FailureCounts):
+    """Cache, wall-time and containment telemetry for one runner's
+    lifetime."""
 
     hits: int = 0
     misses: int = 0
     ledger_hits: int = 0
     cell_times: list[tuple[str, int]] = field(default_factory=list)  # (label, ns)
     wall_ns: int = 0
-    timeouts: int = 0
-    crashes: int = 0
-    retries: int = 0
-    serial_fallbacks: int = 0
     errors: list[dict] = field(default_factory=list)  # error entries
 
     @property
@@ -632,16 +640,17 @@ class CellRunner:
     """Evaluates cell batches against a content-keyed disk cache,
     fanning cache misses out over a process pool when ``jobs > 1``.
 
-    Crash tolerance: each pooled cell is one future, collected with an
-    optional per-cell *cell_timeout*.  A cell that hangs or takes its
-    worker down (the pool breaks) is retried up to *max_retries* times in
-    an isolated single-worker pool with exponential backoff starting at
-    *retry_backoff* seconds; if pools cannot be created at all, the cell
-    falls back to serial in-process evaluation.  A cell that still fails
+    Crash tolerance: cache misses run on :class:`repro.containment.
+    Containment`, one cell per unit, when ``jobs > 1`` or a per-cell
+    *cell_timeout* is set (a budget holds at any ``jobs``); otherwise in
+    this process.  A cell that hangs or takes its worker down is retried
+    up to *max_retries* times in an isolated single-worker pool with
+    backoff starting at *retry_backoff* seconds.  A cell that still fails
     becomes a structured :func:`error_entry` in the results (never
     cached), so one bad cell costs one cell, not the sweep.  With
-    *fail_fast* the first failure raises instead -- the pre-hardening
-    behaviour.
+    *fail_fast* a cell that fails for good raises instead.  A failure of
+    the runner's own bookkeeping (a ledger write, progress, a pending
+    shutdown) is never a cell error: it ends the run.
 
     Resumability: with a *journal*, every completed cell is appended to
     the journal ledger the moment its result is collected, and a later
@@ -684,6 +693,16 @@ class CellRunner:
         self.run_log = run_log
         self.progress = progress
         self.stats = RunnerStats()
+        self._work = Work(
+            run=_pool_evaluate,
+            serial=lambda spec: _timed_cell(spec, ctx),
+            failed=self._failed,
+            key=CellSpec.label,
+            describe=lambda spec: {"label": spec.label()},
+            item_timeout=cell_timeout,
+            counters=_RUNNER_COUNTERS,
+            retry_event="experiment.retry",
+        )
         self._ledgered: set[str] = set()
         # Cumulative across run() batches, so one --progress line spans
         # a whole experiment even when it fans cells out in stages.
@@ -734,10 +753,16 @@ class CellRunner:
         os.replace(temp, path)  # atomic vs concurrent runs
 
     # -- evaluation ----------------------------------------------------
-    def _can_pool(self, specs: list[CellSpec]) -> bool:
-        """Pool workers resolve workloads from the global registry; a
-        context built around ad-hoc workloads must stay in-process."""
-        if self.jobs <= 1 or len(specs) <= 1:
+    def _contained(self, specs: list[CellSpec]) -> bool:
+        """Whether cache misses run in pool workers.
+
+        They do when a cell budget is set (it can only be enforced on a
+        worker, so it holds at any ``jobs``) or when several cells can
+        spread over ``jobs > 1`` workers.  Pool workers resolve workloads
+        from the global registry; a context built around ad-hoc
+        workloads must stay in-process.
+        """
+        if self.cell_timeout is None and (self.jobs <= 1 or len(specs) <= 1):
             return False
         from repro.workloads import get_workload
 
@@ -842,202 +867,54 @@ class CellRunner:
         self.journal.record(key, values)
         self._ledgered.add(key)
 
-    def _note_outcome(self, key: str, outcome) -> None:
-        """Ledger a collected outcome the moment it exists, so a kill or
-        shutdown between cells loses nothing already computed."""
-        if outcome is not None and not is_error_cell(outcome):
-            values, _seconds = outcome
-            self._journal_record(key, values)
-
-    def _check_shutdown(self, pool: ProcessPoolExecutor | None = None) -> None:
-        if self.supervisor is None or self.supervisor.pending is None:
-            return
-        if pool is not None:
-            terminate_pool(pool)
-        raise self.supervisor.shutdown()
+    def _check_shutdown(self) -> None:
+        if self.supervisor is not None and self.supervisor.pending is not None:
+            raise self.supervisor.shutdown()
 
     def _evaluate_misses(self, todo: list[CellSpec], keys: list[str]) -> list:
         """Evaluate cache misses; one outcome per spec, in spec order.
 
         An outcome is either ``(values, elapsed_ns)`` or an error entry.
+        Each is ledgered the moment it exists, so a kill or shutdown
+        between cells loses nothing already computed.
         """
-        if not self._can_pool(todo):
-            outcomes = []
-            for spec, key in zip(todo, keys):
-                outcome = self._in_process(spec)
-                self._note_outcome(key, outcome)
-                outcomes.append(outcome)
-                self._cell_resolved(
-                    spec, "error" if is_error_cell(outcome) else "computed"
-                )
-                self._check_shutdown()
-            return outcomes
-        # Pre-warm every needed baseline in the parent: workers started
-        # by fork inherit the scalar runs copy-on-write instead of
-        # re-interpreting each workload per process.
-        for spec in todo:
-            if spec.workload is not None:
-                self.ctx.baseline(self.ctx.workload(spec.workload))
-        _set_worker_ctx(self.ctx)
-        try:
-            return self._pooled(todo, keys)
-        finally:
-            _set_worker_ctx(None)
 
-    def _in_process(self, spec: CellSpec):
-        """Serial evaluation; the last-resort path has no hang/crash
-        protection but still degrades exceptions into error entries."""
-        start = time.perf_counter_ns()
-        try:
-            values = evaluate_cell(spec, self.ctx)
-        except Exception as error:
-            if self.fail_fast:
-                raise
-            return error_entry(spec, error, attempts=1)
-        return values, time.perf_counter_ns() - start
-
-    def _pooled(self, todo: list[CellSpec], keys: list[str]) -> list:
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
-            futures = [pool.submit(_pool_evaluate, spec) for spec in todo]
-        except Exception:
-            # Cannot create a pool at all (e.g. no usable start method):
-            # fall back to serial in-process evaluation.
-            self.stats.serial_fallbacks += 1
-            if self.sink.enabled:
-                self.sink.count("runner.serial_fallbacks")
-            outcomes = []
-            for spec, key in zip(todo, keys):
-                outcome = self._in_process(spec)
-                self._note_outcome(key, outcome)
-                outcomes.append(outcome)
-                self._cell_resolved(
-                    spec, "error" if is_error_cell(outcome) else "computed"
-                )
-                self._check_shutdown()
-            return outcomes
-
-        outcomes: list = [None] * len(todo)
-        needs_isolation: list[int] = []
-        hung = False
-        broken = False
-        for index, future in enumerate(futures):
-            if broken and not future.done():
-                needs_isolation.append(index)
-                continue
-            try:
-                outcomes[index] = future.result(timeout=self.cell_timeout)
-                self._note_outcome(keys[index], outcomes[index])
-                self._cell_resolved(
-                    todo[index],
-                    "error" if is_error_cell(outcomes[index]) else "computed",
-                )
-            except TimeoutError:
-                # The worker is hung on this cell; healthy workers keep
-                # draining the queue, so keep collecting and terminate
-                # the stragglers at the end.
-                self.stats.timeouts += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.cell_timeouts")
-                if self.fail_fast:
-                    terminate_pool(pool)
-                    raise
-                needs_isolation.append(index)
-                hung = True
-            except BrokenProcessPool:
-                # A worker died; the executor fails every outstanding
-                # future, so everything not yet collected retries
-                # isolated.
-                if not broken:
-                    self.stats.crashes += 1
-                    if self.sink.enabled:
-                        self.sink.count("runner.worker_crashes")
-                broken = True
-                if self.fail_fast:
-                    terminate_pool(pool)
-                    raise
-                needs_isolation.append(index)
-            except Exception as error:
-                # The cell itself raised: deterministic, not worth
-                # retrying.
-                if self.fail_fast:
-                    terminate_pool(pool)
-                    raise
-                outcomes[index] = error_entry(todo[index], error, 1)
-                self._cell_resolved(todo[index], "error")
-            self._check_shutdown(pool)
-        if hung or broken:
-            terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-
-        for index in needs_isolation:
-            outcomes[index] = self._isolated(todo[index])
-            self._note_outcome(keys[index], outcomes[index])
-            self._cell_resolved(
-                todo[index],
-                "error" if is_error_cell(outcomes[index]) else "computed",
-            )
+        def settle(index: int, outcomes: list) -> None:
+            [outcome] = outcomes
+            failed = is_error_cell(outcome)
+            if not failed:
+                self._journal_record(keys[index], outcome[0])
+            self._cell_resolved(todo[index], "error" if failed else "computed")
             self._check_shutdown()
-        return outcomes
 
-    def _isolated(self, spec: CellSpec):
-        """Retry one suspect cell in its own single-worker pool.
+        contained = self._contained(todo)
+        if contained:
+            # Pre-warm every needed baseline in the parent: workers
+            # started by fork inherit the scalar runs copy-on-write
+            # instead of re-interpreting each workload per process.
+            for spec in todo:
+                if spec.workload is not None:
+                    self.ctx.baseline(self.ctx.workload(spec.workload))
+            _set_worker_ctx(self.ctx)
+        cells = Containment(
+            self._work,
+            workers=self.jobs if contained else 0,
+            max_retries=self.max_retries,
+            retry_backoff=self.retry_backoff,
+            counts=self.stats,
+            sink=self.sink,
+            run_log=self.run_log,
+        )
+        try:
+            outcomes = cells.run_batches([(spec,) for spec in todo], settle)
+        finally:
+            cells.shutdown()
+            _set_worker_ctx(None)
+        return [outcome for [outcome] in outcomes]
 
-        Backoff between attempts is exponential with *keyed jitter*
-        (:func:`repro.serve.backoff.backoff_delay`): deterministic per
-        cell, but different cells spread out instead of retrying a
-        broken pool in lockstep.
-        """
-        last_error: BaseException = RuntimeError("cell never ran")
-        attempts = 0
-        while attempts <= self.max_retries:
-            if attempts > 0:
-                self.stats.retries += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.retries")
-                if self.run_log.enabled:
-                    self.run_log.event(
-                        "experiment.retry",
-                        label=spec.label(),
-                        attempt=attempts,
-                    )
-                time.sleep(
-                    backoff_delay(
-                        attempts, base=self.retry_backoff, key=spec.label()
-                    )
-                )
-            attempts += 1
-            try:
-                pool = ProcessPoolExecutor(max_workers=1)
-            except Exception:
-                self.stats.serial_fallbacks += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.serial_fallbacks")
-                return self._in_process(spec)
-            try:
-                outcome = pool.submit(_pool_evaluate, spec).result(
-                    timeout=self.cell_timeout
-                )
-                pool.shutdown(wait=True)
-                return outcome
-            except TimeoutError as error:
-                self.stats.timeouts += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.cell_timeouts")
-                last_error = error
-                terminate_pool(pool)
-            except BrokenProcessPool as error:
-                self.stats.crashes += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.worker_crashes")
-                last_error = error
-                terminate_pool(pool)
-            except Exception as error:
-                terminate_pool(pool)
-                if self.fail_fast:
-                    raise
-                return error_entry(spec, error, attempts)
+    def _failed(self, spec: CellSpec, error: BaseException, attempts: int):
+        """A cell failed for good: an error entry, or with *fail_fast* the
+        exception itself."""
         if self.fail_fast:
-            raise last_error
-        return error_entry(spec, last_error, attempts)
+            raise error
+        return error_entry(spec, error, attempts)

@@ -13,12 +13,10 @@ service needs:
 * :mod:`repro.serve.worker` -- in-worker job execution with a
   content-keyed compiled-program cache (batch-mates sharing a program,
   model and config compile once);
-* :mod:`repro.serve.pool` -- the bounded worker pool: per-job timeouts,
-  dead-worker replacement, isolated retry with jittered exponential
-  backoff (the ``BrokenProcessPool``/``TimeoutError`` hardening from
-  :mod:`repro.eval.runner`, generalized);
-* :mod:`repro.serve.backoff` -- the shared backoff helper (also used by
-  the experiment runner's isolated retries);
+* :mod:`repro.serve.pool` -- the worker pool: group batches of jobs
+  on the process containment the experiment runner's cells share
+  (:mod:`repro.containment`: per-job timeouts, dead-worker replacement,
+  isolated retry with keyed backoff, serial fallback);
 * :mod:`repro.serve.journal` -- the write-ahead job journal over the
   :mod:`repro.ckpt.journal` ledger format: accepted before execution,
   done after, so a killed worker or restarted server replays exactly
@@ -29,16 +27,14 @@ service needs:
 * :mod:`repro.serve.stdio` / :mod:`repro.serve.http` -- the two
   frontends behind ``repro serve [--stdio | --http PORT]``.
 
-Imports are lazy (PEP 562) so that :mod:`repro.eval.runner` can use the
-backoff helper without pulling the whole service stack -- and without an
-import cycle, since :mod:`repro.serve.protocol` reuses the runner's
-canonicalization.
+Imports are lazy (PEP 562): naming one export loads only its module,
+not the whole service stack.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
-    "backoff_delay": "repro.serve.backoff",
+    "backoff_delay": "repro.containment",
     "ProtocolError": "repro.serve.protocol",
     "JobSpec": "repro.serve.protocol",
     "ResolvedJob": "repro.serve.protocol",

@@ -362,7 +362,7 @@ class SimulationService:
                 "serve.errors",
             )
         }
-        counters["serve.retried"] = self.pool.retries
+        counters["serve.retried"] = self.pool.counts.retries
         counters["serve.pending"] = self._pending
         counters["serve.durable_results"] = len(self._completed)
         return counters

@@ -1,8 +1,15 @@
 """The shared jittered-backoff helper."""
 
+import time
+
 import pytest
 
-from repro.serve.backoff import backoff_delay, backoff_fraction
+import repro.containment as containment
+from repro.containment import backoff_delay, backoff_fraction
+from repro.eval import ExperimentContext
+from repro.eval.runner import CellSpec
+from repro.serve.pool import WorkerPool
+from repro.serve.protocol import parse_request, resolve_request
 
 
 class TestBackoffDelay:
@@ -48,10 +55,38 @@ class TestBackoffDelay:
             fraction = backoff_fraction("some-key", attempt)
             assert 0.0 <= fraction < 1.0
 
-    def test_shared_with_the_experiment_runner(self):
-        # Satellite: one helper, two consumers -- the runner's isolated
-        # retries must sleep the exact same schedule as the serve pool.
-        import repro.eval.runner as runner
-        import repro.serve.backoff as backoff
+    def test_shared_with_the_experiment_runner(self, monkeypatch):
+        # One helper, two consumers: the runner's and the service's
+        # isolated retries sleep the backoff schedule, keyed on the cell
+        # label and the job key respectively.
+        slept = []
+        real_sleep = time.sleep
 
-        assert runner.backoff_delay is backoff.backoff_delay
+        def record(seconds):
+            slept.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(containment.time, "sleep", record)
+        kill = CellSpec(kind="chaos", extras=(("mode", "kill"),))
+        ctx = ExperimentContext(
+            workloads=[], jobs=2, max_retries=2, retry_backoff=0.01
+        )
+        ctx.run_cells([kill, CellSpec(kind="chaos", extras=(("mode", "ok"),))])
+        assert slept == [
+            backoff_delay(n, base=0.01, key=kill.label()) for n in (1, 2)
+        ]
+
+        slept.clear()
+        job = resolve_request(
+            parse_request(
+                {"id": "k", "kind": "chaos", "chaos": {"mode": "kill"}}
+            )
+        )
+        pool = WorkerPool(workers=1, max_retries=2, retry_backoff=0.02)
+        try:
+            pool.run_batches([(job,)])
+        finally:
+            pool.shutdown()
+        assert slept == [
+            backoff_delay(n, base=0.02, key=job.key) for n in (1, 2)
+        ]

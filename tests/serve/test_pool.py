@@ -60,7 +60,7 @@ class TestWorkerPool:
             # re-run in isolation and survives.
             assert outcomes[0][0]["error"]["type"] == "BrokenProcessPool"
             assert outcomes[1][0]["ok"]["value"] == 7
-            assert pool.crashes >= 1
+            assert pool.counts.crashes >= 1
             # Dead-worker replacement: the next batch gets a fresh pool.
             [after] = pool.run_batches([(_ok("after", 9),)])
             assert after[0]["ok"]["value"] == 9
@@ -84,7 +84,7 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
         assert outcomes[0]["error"]["type"] == "TimeoutError"
-        assert pool.timeouts >= 1
+        assert pool.counts.timeouts >= 1
         assert sink.counters["serve.pool.timeouts"] >= 1
 
     def test_retries_are_counted(self):
@@ -97,7 +97,7 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
         assert outcomes[0]["error"]["attempts"] == 3
-        assert pool.retries == 2
+        assert pool.counts.retries == 2
         assert sink.counters["serve.retried"] == 2
 
     def test_empty_input(self):

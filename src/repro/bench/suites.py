@@ -239,15 +239,15 @@ def _store_buffer_search() -> Callable[[], int]:
 
 
 def _trained(workload_name: str):
-    """*workload* and the predictor trained on its training input."""
-    from repro.compiler.pipeline import train_predictor
-    from repro.ir import build_cfg
+    """*workload*, its program facts and the predictor trained on its
+    training input."""
+    from repro.compiler.pipeline import analyze_program, train_predictor
     from repro.workloads import get_workload
 
     workload = get_workload(workload_name)
-    cfg = build_cfg(workload.program)
-    return workload, train_predictor(
-        workload.program, cfg, workload.train_memory()
+    facts = analyze_program(workload.program)
+    return workload, facts, train_predictor(
+        workload.program, facts.cfg, workload.train_memory()
     )
 
 
@@ -256,9 +256,9 @@ def _compiled(workload_name: str, model: str):
     from repro.compiler import compile_program
     from repro.machine.config import base_machine
 
-    workload, predictor = _trained(workload_name)
+    workload, facts, predictor = _trained(workload_name)
     compiled = compile_program(
-        workload.program, model, base_machine(), predictor
+        workload.program, model, base_machine(), predictor, facts
     )
     return workload, compiled
 
@@ -271,12 +271,12 @@ def _macro_compile(workload_name: str) -> Callable[[], Callable[[], int]]:
         from repro.compiler import compile_program
         from repro.machine.config import base_machine
 
-        workload, predictor = _trained(workload_name)
+        workload, facts, predictor = _trained(workload_name)
         config = base_machine()
 
         def body() -> int:
             compiled = compile_program(
-                workload.program, "region_pred", config, predictor
+                workload.program, "region_pred", config, predictor, facts
             )
             return sum(
                 len(unit.region.items)

@@ -93,7 +93,7 @@ from repro.ckpt import (
 )
 from repro.ckpt.engine import read_json
 from repro.compiler import MODELS, compile_program, evaluate_model
-from repro.compiler.pipeline import train_predictor
+from repro.compiler.pipeline import analyze_program, train_predictor
 from repro.eval import EXPERIMENTS, ExperimentContext, ExperimentOptions
 from repro.eval.artifact import dumps_artifact, make_artifact, write_artifact
 from repro.ir import build_cfg
@@ -158,9 +158,11 @@ def cmd_run(args) -> int:
 
 def cmd_compile(args) -> int:
     program, train, _ = _load_program_and_memory(args.target, args.seed)
-    cfg = build_cfg(program)
-    predictor = train_predictor(program, cfg, train)
-    compiled = compile_program(program, args.model, base_machine(), predictor)
+    facts = analyze_program(program)
+    predictor = train_predictor(program, facts.cfg, train)
+    compiled = compile_program(
+        program, args.model, base_machine(), predictor, facts
+    )
     print(f"model    : {compiled.policy.name}")
     print(f"units    : {compiled.unit_count()}")
     total_ops = sum(

@@ -3,7 +3,11 @@
 ``compile_program`` turns a scalar program into scheduled units under a
 model policy (region formation -> predication -> renaming -> dependence ->
 list scheduling), and -- for the predicating models -- emits executable
-VLIW code.
+VLIW code.  What it reads of the program itself (the CFG, exit liveness,
+dominators and loop headers) is a :class:`ProgramFacts` value that
+:func:`analyze_program` derives once per program; a caller that trains
+and compiles, or compiles one program many times, builds the facts once
+and passes them in.
 
 ``train_predictor`` (profile a training run into the static predictor) and
 ``check_equivalent`` (the scheduled code's output must match the scalar
@@ -23,6 +27,7 @@ to end for one (program, model, machine) triple:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.analysis.branch_prediction import StaticPredictor
 from repro.compiler.dependence import DepGraph, build_dependence
@@ -36,7 +41,7 @@ from repro.compiler.unit import CycleCount, ScheduledCode, ScheduledUnit, make_u
 from repro.compiler.vliw_codegen import emit_vliw
 from repro.ir.cfg import CFG, build_cfg
 from repro.ir.dataflow import compute_liveness
-from repro.ir.dominators import compute_dominators
+from repro.ir.dominators import DominatorInfo, compute_dominators
 from repro.ir.loops import find_natural_loops
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig
@@ -47,6 +52,45 @@ from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.interpreter import FaultHandler
 from repro.sim.memory import Memory
+
+
+@dataclass(frozen=True)
+class ProgramFacts:
+    """The program-only analyses compilation reads, derived once.
+
+    None of them depends on the model, the machine or the predictor, so
+    one value serves every compile of *program*.  The members are shared
+    with every compile they feed and must be treated as read-only: the
+    CFG is the one training and evaluation runs use too (region formation
+    and unrolling work on copies).
+    """
+
+    program: Program
+    cfg: CFG
+    #: Live-in general registers of every block (renaming and exit
+    #: dependences read them at region exits).
+    exit_live_in: Mapping[int, frozenset[int]]
+    dominators: DominatorInfo
+    loop_headers: frozenset[int]
+
+
+def analyze_program(program: Program) -> ProgramFacts:
+    """Build the CFG of *program* and its liveness, dominators and loops."""
+    cfg = build_cfg(program)
+    liveness = compute_liveness(cfg)
+    dominators = compute_dominators(cfg)
+    return ProgramFacts(
+        program=program,
+        cfg=cfg,
+        exit_live_in={
+            bid: frozenset(liveness.blocks[bid].live_in_regs)
+            for bid in cfg.blocks
+        },
+        dominators=dominators,
+        loop_headers=frozenset(
+            loop.header for loop in find_natural_loops(cfg, dominators)
+        ),
+    )
 
 
 def train_predictor(
@@ -100,20 +144,24 @@ def compile_program(
     model: str | ModelPolicy,
     config: MachineConfig,
     predictor: StaticPredictor,
+    facts: ProgramFacts | None = None,
 ) -> CompiledProgram:
-    """Compile *program* under *model* for *config*."""
+    """Compile *program* under *model* for *config*.
+
+    *facts* are :func:`analyze_program`'s for *program*, derived here
+    when not given.
+    """
     policy = get_policy(model) if isinstance(model, str) else model
     policy = policy.with_depth(config.ccr_entries, config.speculation_depth)
 
-    cfg = build_cfg(program)
-    liveness = compute_liveness(cfg)
-    exit_live_in = {
-        bid: set(liveness.blocks[bid].live_in_regs) for bid in cfg.blocks
-    }
-    dominators = compute_dominators(cfg)
-    loop_headers = frozenset(
-        loop.header for loop in find_natural_loops(cfg, dominators)
-    )
+    if facts is None:
+        facts = analyze_program(program)
+    elif facts.program is not program:
+        raise ValueError(
+            f"facts of {facts.program.name!r} given to compile {program.name!r}"
+        )
+    cfg = facts.cfg
+    exit_live_in = facts.exit_live_in
     # The region-growth benefit heuristic is resource-aware: a narrow
     # machine cannot afford to fill issue slots with low-probability arms,
     # so duplication is restricted to likelier arms as width shrinks.
@@ -141,10 +189,10 @@ def compile_program(
             max_conditions=config.ccr_entries,
             predictor=predictor,
             min_arm_probability=min_arm_probability,
-            loop_headers=loop_headers,
+            loop_headers=facts.loop_headers,
         )
         if policy.share_equivalent_joins:
-            merge_equivalent_joins(tree, cfg, dominators)
+            merge_equivalent_joins(tree, cfg, facts.dominators)
         region = linearize(
             tree, cfg, eliminate_branches=policy.eliminate_branches
         )
@@ -216,15 +264,15 @@ def evaluate_model(
     on a signal.  The architectural-equivalence check still applies to
     whatever result the runner returns.
     """
-    cfg = build_cfg(program)
+    facts = analyze_program(program)
     predictor = train_predictor(
-        program, cfg, train_memory, fault_handler=fault_handler,
+        program, facts.cfg, train_memory, fault_handler=fault_handler,
         max_steps=max_steps,
     )
-    compiled = compile_program(program, model, config, predictor)
+    compiled = compile_program(program, model, config, predictor, facts)
 
     evaluation = run_scalar(
-        program, cfg, eval_memory.clone(), fault_handler=fault_handler,
+        program, facts.cfg, eval_memory.clone(), fault_handler=fault_handler,
         max_steps=max_steps,
     )
     analytic = compiled.code.count_cycles(evaluation.trace, config)

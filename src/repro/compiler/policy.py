@@ -28,7 +28,7 @@ predicate is specified.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class Mechanism(enum.Enum):
@@ -92,18 +92,11 @@ class ModelPolicy:
                 depth=min(rule.depth, crossing), mechanism=rule.mechanism
             )
 
-        return ModelPolicy(
-            name=self.name,
-            both_arms=self.both_arms,
-            window_blocks=self.window_blocks,
-            eliminate_branches=self.eliminate_branches,
+        return replace(
+            self,
             safe=clamp(self.safe),
             unsafe=clamp(self.unsafe),
             load=clamp(self.load),
             store=clamp(self.store),
             max_conditions=max_conditions,
-            ordered_cond_sets=self.ordered_cond_sets,
-            min_arm_probability=self.min_arm_probability,
-            executable=self.executable,
-            share_equivalent_joins=self.share_equivalent_joins,
         )

@@ -45,6 +45,8 @@ from repro.ckpt.signals import SignalSupervisor
 from repro.ckpt.state import CheckpointError, restore_vliw
 from repro.compiler.models import MODELS, REGION_PRED
 from repro.compiler.pipeline import (
+    ProgramFacts,
+    analyze_program,
     check_equivalent,
     compile_program,
     train_predictor,
@@ -52,8 +54,8 @@ from repro.compiler.pipeline import (
 from repro.compiler.policy import ModelPolicy
 from repro.containment import Containment, FailureCounts, Work
 from repro.eval import hwcost as hwcost_model
-from repro.ir.cfg import CFG, build_cfg
 from repro.isa.printer import format_program
+from repro.isa.program import Program
 from repro.machine.config import MachineConfig
 from repro.machine.scalar import ScalarRun, run_scalar
 from repro.machine.vliw import VLIWMachine
@@ -135,14 +137,20 @@ def _canonical(obj):
     return obj
 
 
-def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
+def cell_cache_key(
+    spec: CellSpec,
+    workload: Workload | None,
+    program_text: str | None = None,
+) -> str:
     """Content hash identifying a cell's result.
 
     Covers everything the measurement depends on: the program *text* (not
     just the workload name), the train/eval seeds (memory contents derive
     from them), every field of the resolved policy and machine config,
     the cell kind with its extras, and a cache version for evaluator
-    changes.  Changing any ingredient changes the key.
+    changes.  Changing any ingredient changes the key.  *program_text*
+    is ``format_program(workload.program)`` when the caller already holds
+    it (:meth:`CellRunner.cell_key` formats each program once).
     """
     payload = {
         "version": CACHE_VERSION,
@@ -154,7 +162,11 @@ def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
     }
     if workload is not None:
         payload["workload"] = workload.name
-        payload["program"] = format_program(workload.program)
+        payload["program"] = (
+            program_text
+            if program_text is not None
+            else format_program(workload.program)
+        )
         payload["train_seed"] = workload.train_seed
         payload["eval_seed"] = workload.eval_seed
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -166,10 +178,11 @@ def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class WorkloadBaseline:
-    """Cached scalar behaviour of one workload."""
+    """Cached scalar behaviour of one workload, and the program facts
+    every compile of it reads."""
 
     workload: Workload
-    cfg: CFG
+    facts: ProgramFacts
     predictor: StaticPredictor
     evaluation: ScalarRun
 
@@ -230,16 +243,16 @@ class ExperimentContext:
 
     def baseline(self, workload: Workload) -> WorkloadBaseline:
         if workload.name not in self._baselines:
-            cfg = build_cfg(workload.program)
+            facts = analyze_program(workload.program)
             predictor = train_predictor(
-                workload.program, cfg, workload.train_memory()
+                workload.program, facts.cfg, workload.train_memory()
             )
             evaluation = run_scalar(
-                workload.program, cfg, workload.eval_memory()
+                workload.program, facts.cfg, workload.eval_memory()
             )
             self._baselines[workload.name] = WorkloadBaseline(
                 workload=workload,
-                cfg=cfg,
+                facts=facts,
                 predictor=predictor,
                 evaluation=evaluation,
             )
@@ -282,7 +295,8 @@ class ExperimentContext:
         """
         baseline = self.baseline(workload)
         compiled = compile_program(
-            workload.program, model, config, baseline.predictor
+            workload.program, model, config, baseline.predictor,
+            baseline.facts,
         )
         analytic = compiled.code.count_cycles(baseline.evaluation.trace, config)
         cycles = analytic.cycles
@@ -412,7 +426,7 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
             spec.config,
             run_machine=spec.run_machine,
             cell_key=(
-                cell_cache_key(spec, workload)
+                ctx.runner.cell_key(spec)
                 if ctx.journal is not None and spec.run_machine
                 else None
             ),
@@ -422,7 +436,7 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
         assert spec.config is not None
         compiled = compile_program(
             workload.program, spec.resolved_policy(), spec.config,
-            baseline.predictor,
+            baseline.predictor, baseline.facts,
         )
         cycles = compiled.code.count_cycles(
             baseline.evaluation.trace, spec.config
@@ -444,7 +458,8 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
         else:
             predictor = baseline.predictor
         compiled = compile_program(
-            workload.program, "region_pred", spec.config, predictor
+            workload.program, "region_pred", spec.config, predictor,
+            baseline.facts,
         )
         cycles = compiled.code.count_cycles(
             baseline.evaluation.trace, spec.config
@@ -460,15 +475,16 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
             # The program is unchanged: its training and evaluation runs
             # are the baseline's.
             program = workload.program
+            facts = baseline.facts
             predictor = baseline.predictor
             evaluation = baseline.evaluation
         else:
-            program = unroll_loops(
-                build_cfg(workload.program), factor
-            ).to_program()
-            cfg = build_cfg(program)
-            predictor = train_predictor(program, cfg, workload.train_memory())
-            evaluation = run_scalar(program, cfg, workload.eval_memory())
+            program = unroll_loops(baseline.facts.cfg, factor).to_program()
+            facts = analyze_program(program)
+            predictor = train_predictor(
+                program, facts.cfg, workload.train_memory()
+            )
+            evaluation = run_scalar(program, facts.cfg, workload.eval_memory())
             if evaluation.output != baseline.evaluation.output:
                 raise AssertionError(
                     f"{workload.name}: unrolling changed semantics"
@@ -476,7 +492,9 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
         policy = dataclasses.replace(
             spec.resolved_policy() or REGION_PRED, window_blocks=16 * factor
         )
-        compiled = compile_program(program, policy, spec.config, predictor)
+        compiled = compile_program(
+            program, policy, spec.config, predictor, facts
+        )
         cycles = compiled.code.count_cycles(
             evaluation.trace, spec.config
         ).cycles
@@ -704,6 +722,9 @@ class CellRunner:
             retry_event="experiment.retry",
         )
         self._ledgered: set[str] = set()
+        #: workload name -> (program, its text): cell keys hash the text,
+        #: formatted once per program object.
+        self._program_texts: dict[str, tuple[Program, str]] = {}
         # Cumulative across run() batches, so one --progress line spans
         # a whole experiment even when it fans cells out in stages.
         self._cells_done = 0
@@ -718,6 +739,20 @@ class CellRunner:
             )
         if self.progress is not None:
             self.progress(self._cells_done, self._cells_total, self.stats)
+
+    def _program_text(self, workload: Workload) -> str:
+        entry = self._program_texts.get(workload.name)
+        if entry is None or entry[0] is not workload.program:
+            entry = (workload.program, format_program(workload.program))
+            self._program_texts[workload.name] = entry
+        return entry[1]
+
+    def cell_key(self, spec: CellSpec) -> str:
+        """:func:`cell_cache_key` of *spec* in this runner's context."""
+        if not spec.workload:
+            return cell_cache_key(spec, None)
+        workload = self.ctx.workload(spec.workload)
+        return cell_cache_key(spec, workload, self._program_text(workload))
 
     # -- cache ---------------------------------------------------------
     def _cache_path(self, key: str) -> Path:
@@ -773,11 +808,12 @@ class CellRunner:
                 registered = get_workload(spec.workload)
             except KeyError:
                 return False
-            if registered.program is not self.ctx.workload(spec.workload).program:
+            ours = self.ctx.workload(spec.workload)
+            if registered.program is not ours.program:
                 # Same name, different program: registry lookup would
                 # silently measure the wrong thing.
-                if format_program(registered.program) != format_program(
-                    self.ctx.workload(spec.workload).program
+                if format_program(registered.program) != self._program_text(
+                    ours
                 ):
                     return False
         return True
@@ -785,13 +821,7 @@ class CellRunner:
     def run(self, specs: list[CellSpec]) -> list[dict]:
         started = time.perf_counter_ns()
         self._cells_total += len(specs)
-        keys = [
-            cell_cache_key(
-                spec,
-                self.ctx.workload(spec.workload) if spec.workload else None,
-            )
-            for spec in specs
-        ]
+        keys = [self.cell_key(spec) for spec in specs]
         results: list[dict | None] = [None] * len(specs)
 
         # Ledger pass: a journalled sweep replays durably completed

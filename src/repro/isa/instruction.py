@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.predicate import ALWAYS, Predicate
 from repro.isa.opcodes import (
@@ -35,6 +34,29 @@ from repro.isa.opcodes import (
 from repro.isa.operands import CReg, Imm, Label, Operand, Reg
 
 _uid_counter = itertools.count()
+
+
+class _view:
+    """A decode view, computed on first access into the instance
+    ``__dict__`` (which then shadows this non-data descriptor).  Unlike
+    Python 3.11's ``functools.cached_property`` it takes no lock: the
+    instruction is immutable, so a racing first access computes the same
+    value twice."""
+
+    def __init__(self, compute: Callable[[Instruction], Any]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+#: The fields a copy may change and still share its original's decode.
+_DECODE_FREE = frozenset({"pred", "shadow", "uid"})
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,9 @@ class Instruction:
                 raise ValueError(
                     f"{self.opcode} operand {operand!r} should be {expected.__name__}"
                 )
+        self._check_shadow(info)
+
+    def _check_shadow(self, info: OpcodeInfo) -> None:
         for position in self.shadow:
             if (
                 position >= len(info.signature)
@@ -82,21 +107,21 @@ class Instruction:
     # ------------------------------------------------------------------
     # Static properties derived from the opcode table.
     #
-    # The derived views are ``cached_property``: instructions are
-    # immutable, and the machine re-reads decode facts (sources,
-    # destination, latency) every cycle an op is live, so each is
-    # computed once per instance.  ``cached_property`` stores into the
-    # instance ``__dict__`` directly, which a frozen dataclass permits.
+    # The derived views are ``_view``s: instructions are immutable, and
+    # the compiler and machine re-read decode facts (sources, destination,
+    # latency) many times per instruction, so each is computed once per
+    # instance and stored into the instance ``__dict__`` directly, which
+    # a frozen dataclass permits.
     # ------------------------------------------------------------------
-    @cached_property
+    @_view
     def info(self) -> OpcodeInfo:
         return OPCODES[self.opcode]
 
-    @cached_property
+    @_view
     def fu(self) -> FuClass:
         return self.info.fu
 
-    @cached_property
+    @_view
     def latency(self) -> int:
         return self.info.latency
 
@@ -124,7 +149,7 @@ class Instruction:
     def is_store(self) -> bool:
         return self.opcode == "st"
 
-    @cached_property
+    @_view
     def is_cond_set(self) -> bool:
         return self.info.writes_creg
 
@@ -140,7 +165,7 @@ class Instruction:
     # ------------------------------------------------------------------
     # Def/use views.
     # ------------------------------------------------------------------
-    @cached_property
+    @_view
     def dest_reg(self) -> int | None:
         """Destination general register index, or None."""
         for operand, role in zip(self.operands, self.info.signature):
@@ -149,7 +174,7 @@ class Instruction:
                 return operand.index
         return None
 
-    @cached_property
+    @_view
     def dest_creg(self) -> int | None:
         """Destination condition register index, or None."""
         for operand, role in zip(self.operands, self.info.signature):
@@ -158,7 +183,7 @@ class Instruction:
                 return operand.index
         return None
 
-    @cached_property
+    @_view
     def src_regs(self) -> tuple[int, ...]:
         """Source general register indices, in operand order."""
         return tuple(
@@ -167,7 +192,7 @@ class Instruction:
             if role == "rs" and isinstance(operand, Reg)
         )
 
-    @cached_property
+    @_view
     def src_cregs(self) -> tuple[int, ...]:
         """Source condition register indices (branch uses)."""
         return tuple(
@@ -176,7 +201,7 @@ class Instruction:
             if role == "cu" and isinstance(operand, CReg)
         )
 
-    @cached_property
+    @_view
     def target(self) -> str | None:
         """Control-transfer target label, or None."""
         for operand in self.operands:
@@ -184,7 +209,7 @@ class Instruction:
                 return operand.name
         return None
 
-    @cached_property
+    @_view
     def imm(self) -> int | None:
         """Immediate value, or None."""
         for operand in self.operands:
@@ -192,7 +217,7 @@ class Instruction:
                 return operand.value
         return None
 
-    @cached_property
+    @_view
     def source_positions(self) -> tuple[int, ...]:
         """Operand positions that are general-register sources."""
         return tuple(
@@ -202,9 +227,24 @@ class Instruction:
         )
 
     def replace(self, **changes: Any) -> Instruction:
-        """Return a copy with *changes* applied and a fresh ``uid``."""
+        """Return a copy with *changes* applied and a fresh ``uid``.
+
+        The decode views depend on the opcode and operands only, so a copy
+        that keeps both (the predicated and shadow-marked copies the
+        compiler makes of every scheduled instruction) inherits the views
+        already computed and skips operand validation; only its shadow
+        positions are checked.
+        """
         changes.setdefault("uid", next(_uid_counter))
-        return replace(self, **changes)
+        if not _DECODE_FREE.issuperset(changes):
+            return replace(self, **changes)
+        copy = object.__new__(Instruction)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state.update(changes)
+        if "shadow" in changes:
+            copy._check_shadow(copy.info)
+        return copy
 
     def rename_reg(self, old: int, new: int, *, dest: bool, srcs: bool) -> Instruction:
         """Return a copy with register *old* renamed to *new*.

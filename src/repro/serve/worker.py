@@ -22,11 +22,11 @@ import time
 from pathlib import Path
 
 from repro.compiler.pipeline import (
+    analyze_program,
     check_equivalent,
     compile_program,
     train_predictor,
 )
-from repro.ir.cfg import build_cfg
 from repro.isa.parser import parse_program
 from repro.machine.vliw import VLIWMachine
 from repro.serve.protocol import ResolvedJob
@@ -59,12 +59,14 @@ def _compiled(job: ResolvedJob):
     else:
         program = parse_program(job.program_text, name=job.name)
         train_memory = _inline_memory(job)
-    cfg = build_cfg(program)
+    facts = analyze_program(program)
     compiled = None
     if job.model != "scalar":
-        predictor = train_predictor(program, cfg, train_memory)
-        compiled = compile_program(program, job.model, job.config, predictor)
-    entry = (program, cfg, compiled)
+        predictor = train_predictor(program, facts.cfg, train_memory)
+        compiled = compile_program(
+            program, job.model, job.config, predictor, facts
+        )
+    entry = (program, facts.cfg, compiled)
     while len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
         _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)))
     _COMPILE_CACHE[job.group] = entry

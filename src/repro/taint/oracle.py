@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program, train_predictor
+from repro.compiler.pipeline import (
+    analyze_program,
+    compile_program,
+    train_predictor,
+)
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
-from repro.ir.cfg import build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
 from repro.machine.program import VLIWProgram
@@ -141,15 +144,17 @@ def run_security(
     if program is not None:
         name = resolve_model(model)
         train = train_memory if train_memory is not None else eval_memory
-        cfg = build_cfg(program)
+        facts = analyze_program(program)
         try:
             predictor = train_predictor(
-                program, cfg, train.clone(), fault_handler=fault_handler,
+                program, facts.cfg, train.clone(), fault_handler=fault_handler,
                 max_steps=max_steps,
             )
         except StepLimitExceeded as error:
             return _errored(program.name, name, policy, f"training run: {error}")
-        compiled = compile_program(program, MODELS[name], config, predictor)
+        compiled = compile_program(
+            program, MODELS[name], config, predictor, facts
+        )
         assert compiled.vliw is not None
         compiled_vliw = compiled.vliw
     assert compiled_vliw is not None

@@ -29,10 +29,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program, train_predictor
+from repro.compiler.pipeline import (
+    ProgramFacts,
+    analyze_program,
+    compile_program,
+    train_predictor,
+)
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
-from repro.ir.cfg import CFG, build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
 from repro.machine.program import VLIWProgram
@@ -255,7 +259,7 @@ class OracleSetup:
         self.factory = machine_factory or VLIWMachine
 
     def run_machine(
-        self, program: Program, cfg: CFG, **observers
+        self, program: Program, facts: ProgramFacts, **observers
     ) -> MachineRun:
         """Train, compile and run the factory machine (*observers* go to
         its constructor).  A livelocked training run becomes a
@@ -264,14 +268,16 @@ class OracleSetup:
         run = MachineRun()
         try:
             predictor = train_predictor(
-                program, cfg, self.train_memory.clone(),
+                program, facts.cfg, self.train_memory.clone(),
                 fault_handler=self.fault_handler, max_steps=self.max_steps,
             )
         except StepLimitExceeded as error:
             run.error = f"StepLimitExceeded: training run: {error}"
             return run
         try:
-            compiled = compile_program(program, self.policy, self.config, predictor)
+            compiled = compile_program(
+                program, self.policy, self.config, predictor, facts
+            )
             assert compiled.vliw is not None
             run.machine = self.factory(
                 compiled.vliw,
@@ -326,11 +332,11 @@ def run_oracle(
     golden: InterpreterResult | None = None
     golden_fault: UnhandledFault | None = None
     scalar_error: str | None = None
-    cfg = build_cfg(program)
+    facts = analyze_program(program)
     interpreter = Interpreter(
         program,
         setup.eval_memory.clone(),
-        cfg=cfg,
+        cfg=facts.cfg,
         fault_handler=setup.fault_handler,
         max_steps=setup.max_steps,
     )
@@ -342,7 +348,7 @@ def run_oracle(
         scalar_error = str(error)
 
     # --- machine: train, compile, run ---------------------------------
-    side = setup.run_machine(program, cfg)
+    side = setup.run_machine(program, facts)
     machine, machine_result = side.machine, side.result
     machine_fault, machine_error = side.fault, side.error
     snapshot = machine.snapshot() if machine is not None else None

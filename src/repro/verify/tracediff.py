@@ -20,9 +20,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.compiler.pipeline import analyze_program
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import UnhandledFault
-from repro.ir.cfg import build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig
 from repro.obs.effects import EffectDivergence, EffectStream, first_divergence
@@ -229,11 +229,11 @@ def run_diff_trace(
         flight=RingRecorder(flight_capacity, source="scalar"),
     )
     scalar.effects = EffectStream("scalar", scalar.flight)
-    cfg = build_cfg(program)
+    facts = analyze_program(program)
     interpreter = Interpreter(
         program,
         setup.eval_memory.clone(),
-        cfg=cfg,
+        cfg=facts.cfg,
         fault_handler=setup.fault_handler,
         max_steps=setup.max_steps,
         flight=scalar.flight,
@@ -258,7 +258,7 @@ def run_diff_trace(
     )
     machine_side.effects = EffectStream("machine", machine_side.flight)
     run = setup.run_machine(
-        program, cfg, flight=machine_side.flight,
+        program, facts, flight=machine_side.flight,
         effects=machine_side.effects, tracer=tracer,
     )
     machine_side.error = run.error

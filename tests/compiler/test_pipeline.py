@@ -7,7 +7,12 @@ consumer inherits from them.
 
 import pytest
 
-from repro.compiler.pipeline import evaluate_model
+from repro.compiler.pipeline import (
+    analyze_program,
+    compile_program,
+    evaluate_model,
+    train_predictor,
+)
 from repro.eval.runner import ExperimentContext
 from repro.isa import parse_program
 from repro.machine.config import base_machine
@@ -17,7 +22,7 @@ from repro.serve.protocol import parse_request, resolve_request
 from repro.sim.memory import Memory
 from repro.taint import run_security
 from repro.verify import run_diff_trace, run_oracle
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 
 SPIN_ON_ZERO = """
     li   r1, 0
@@ -110,3 +115,76 @@ def test_machine_output_mismatch_raises_check_equivalent(monkeypatch, run):
         AssertionError, match="scheduled code diverged from scalar semantics"
     ):
         run(get_workload("grep"))
+
+
+# ----------------------------------------------------------------------
+# Program facts: derived once, shared by every compile of a program.
+# ----------------------------------------------------------------------
+def _compiles(program, predictor, facts=None):
+    """(model label, compiled) for a spread of policies and machines."""
+    import dataclasses
+
+    from repro.compiler.models import MODELS
+
+    shared = dataclasses.replace(
+        MODELS["region_pred"], share_equivalent_joins=True
+    )
+    narrow = base_machine(
+        issue_width=2, ccr_entries=2, max_speculation_depth=1,
+        shadow_capacity=None,
+    )
+    for label, model, config in (
+        ("region_pred", "region_pred", base_machine()),
+        ("trace_pred", "trace_pred", base_machine()),
+        ("global", "global", base_machine()),
+        ("shared-joins", shared, base_machine()),
+        ("region_pred-narrow", "region_pred", narrow),
+    ):
+        yield label, compile_program(program, model, config, predictor, facts)
+
+
+def _shape(compiled):
+    return (
+        compiled.vliw.format() if compiled.vliw is not None else None,
+        {
+            header: (unit.length, [str(item.instr) for item in unit.region.items])
+            for header, unit in compiled.code.units.items()
+        },
+    )
+
+
+def _facts_summary(facts):
+    return (
+        {bid: block.instructions for bid, block in facts.cfg.blocks.items()},
+        dict(facts.exit_live_in),
+        dict(facts.dominators.idom),
+        dict(facts.dominators.ipdom),
+        facts.loop_headers,
+    )
+
+
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_compiling_with_given_facts_matches_deriving_them(name):
+    workload = get_workload(name)
+    facts = analyze_program(workload.program)
+    before = _facts_summary(facts)
+    predictor = train_predictor(
+        workload.program, facts.cfg, workload.train_memory()
+    )
+    derived = dict(_compiles(workload.program, predictor))
+    given = dict(_compiles(workload.program, predictor, facts))
+    for label, compiled in derived.items():
+        assert _shape(given[label]) == _shape(compiled), label
+    # Compiling never writes to the facts it shares.
+    assert _facts_summary(facts) == before
+    assert _facts_summary(analyze_program(workload.program)) == before
+
+
+def test_facts_of_another_program_are_refused():
+    grep, li = get_workload("grep"), get_workload("li")
+    facts = analyze_program(li.program)
+    predictor = train_predictor(grep.program, facts.cfg, grep.train_memory())
+    with pytest.raises(ValueError, match="facts of 'li'"):
+        compile_program(
+            grep.program, "region_pred", base_machine(), predictor, facts
+        )

@@ -82,6 +82,78 @@ class TestCacheKey:
         ) != cell_cache_key(_speedup_spec(), grep)
 
 
+#: One key per cell kind, computed before the runner formatted each
+#: program once: keys (and so every on-disk cache and journal ledger)
+#: must not move.
+PINNED_KEYS = {
+    "baseline": (
+        CellSpec("baseline", workload="grep"),
+        "b0e78dab02b87806887fd1ee85c8dea56afb1bb3fe246f1fa2c6f146a7b741a9",
+    ),
+    "accuracy": (
+        CellSpec("accuracy", workload="grep", extras=(("max_run", 8),)),
+        "2fcfeeba5ee35a6397ef86b5706c8265223b7457aac5eb4afbe105cb41dd0a02",
+    ),
+    "speedup": (
+        _speedup_spec(run_machine=True),
+        "74cb261a35b87d32049f5b6ca406cecec1b1fc053bfe117304eebe042b8f3740",
+    ),
+    "compile_stats": (
+        _speedup_spec(kind="compile_stats", model="trace_pred"),
+        "7e4ce457eff3ec31053fcb97160503b1e7dfca6020a026243d43595320b6a231",
+    ),
+    "profile": (
+        CellSpec(
+            "profile", workload="grep", config=base_machine(),
+            extras=(("mode", "self"),),
+        ),
+        "e7ce7cfb7ad77cdd3f3c926af21a7adc22c505863802e4e7612c04928187da48",
+    ),
+    "unroll": (
+        _speedup_spec(kind="unroll", extras=(("factor", 2),)),
+        "89d5ba9d9f96a82d0542c6ac49b2f723d8378d982d0378a8f9f6bba5dc8f1b09",
+    ),
+    "hwcost": (
+        CellSpec("hwcost"),
+        "baf4f81b5f98af86963d60e1eb27c471bd02358939fee00d054b7e2e27cb95ec",
+    ),
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("kind", sorted(PINNED_KEYS))
+    def test_key_is_unchanged(self, kind, grep):
+        spec, expected = PINNED_KEYS[kind]
+        assert spec.kind == kind
+        workload = grep if spec.workload else None
+        assert cell_cache_key(spec, workload) == expected
+        ctx = ExperimentContext([grep], use_cache=False)
+        assert ctx.runner.cell_key(spec) == expected
+        assert ctx.runner.cell_key(spec) == expected  # text memo hit
+
+    def test_runner_formats_each_program_once(self, grep, monkeypatch):
+        from repro.eval import runner as runner_module
+
+        formatted = []
+        real = runner_module.format_program
+
+        def counting(program):
+            formatted.append(program)
+            return real(program)
+
+        monkeypatch.setattr(runner_module, "format_program", counting)
+        li = get_workload("li")
+        ctx = ExperimentContext([grep, li], use_cache=False)
+        specs = [spec for spec, _ in PINNED_KEYS.values()] + [
+            dataclasses.replace(spec, workload="li")
+            for spec, _ in PINNED_KEYS.values()
+            if spec.workload
+        ]
+        keys = [ctx.runner.cell_key(spec) for spec in specs * 3]
+        assert len(set(keys)) == len(specs)
+        assert [p.name for p in formatted] == ["grep", "li"]
+
+
 class TestCellRunner:
     def test_cold_then_warm(self, tmp_path):
         specs = [

@@ -16,7 +16,13 @@ and pin:
   the scalar evaluation run (trace recording on, as the pipeline runs
   it);
 * the trace-driven cycle counter's calls per trace block, on a freshly
-  compiled ``ScheduledCode`` (its transition memo starts cold).
+  compiled ``ScheduledCode`` (its transition memo starts cold);
+* the compiler's calls per scheduled region item, with the program facts
+  passed in, and no call into ``functools`` during a compile (decode
+  views are lock-free, and copies that keep opcode and operands inherit
+  them);
+* the program analyses of one cold 13-driver sweep: ``compute_liveness``
+  runs once per program, not once per compile.
 
 Only the run is counted; decoding happens once, at construction.  On a
 failure the per-module breakdown is printed, so a regression points at
@@ -32,8 +38,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.compiler.pipeline import compile_program, train_predictor
-from repro.ir.cfg import build_cfg
+from repro.compiler.pipeline import (
+    analyze_program,
+    compile_program,
+    train_predictor,
+)
 from repro.machine.config import base_machine
 from repro.machine.vliw import VLIWMachine
 from repro.sim.interpreter import Interpreter
@@ -45,6 +54,14 @@ MAX_MACHINE_CALLS_PER_CYCLE = 45
 MAX_SCALAR_CALLS_PER_INSTRUCTION = 3.5
 #: Python + builtin calls per trace block, memo filling included.
 MAX_COUNTER_CALLS_PER_TRACE_BLOCK = 2.0
+#: Python + builtin calls per scheduled region item, facts given (~100
+#: measured on 3.11 and 3.12; 162 when every compile re-derived the
+#: facts and re-decoded every predicated copy).
+MAX_COMPILE_CALLS_PER_REGION_ITEM = 110
+#: ``compute_liveness`` runs in one cold sweep: one per workload
+#: baseline plus one per unrolled program an ``unroll`` cell builds (6 +
+#: 24), against one per compile (246) before.
+MAX_SWEEP_LIVENESS_RUNS = 30
 
 _REPRO_ROOT = Path(repro.__file__).resolve().parent
 
@@ -60,14 +77,16 @@ def _module_of(filename: str) -> str:
         return f"<{path.name}>"
 
 
-def _count_calls(run) -> tuple[object, Counter[str]]:
-    """Run *run()* under a profiler; calls per module.
+def _count_calls(run, *, functions: bool = False) -> tuple[object, Counter[str]]:
+    """Run *run()* under a profiler; calls per module, or with
+    *functions* per ``"<module>:<function>"``.
 
     A builtin call is charged to the module that made it, under
     ``"<module> (builtin)"``.
     """
     calls: Counter[str] = Counter()
     modules: dict[str, str] = {}
+    names: dict[object, str] = {}
 
     def module(frame) -> str:
         filename = frame.f_code.co_filename
@@ -76,9 +95,16 @@ def _count_calls(run) -> tuple[object, Counter[str]]:
             name = modules[filename] = _module_of(filename)
         return name
 
+    def callee(frame) -> str:
+        code = frame.f_code
+        name = names.get(code)
+        if name is None:
+            name = names[code] = f"{module(frame)}:{code.co_name}"
+        return name
+
     def profile(frame, event, arg) -> None:
         if event == "call":
-            calls[module(frame)] += 1
+            calls[callee(frame) if functions else module(frame)] += 1
         elif event == "c_call":
             calls[f"{module(frame)} (builtin)"] += 1
 
@@ -100,20 +126,20 @@ def _breakdown(calls: Counter[str], units: int, unit: str) -> str:
 @pytest.fixture(scope="module")
 def compress():
     workload = get_workload("compress")
-    cfg = build_cfg(workload.program)
+    facts = analyze_program(workload.program)
     config = base_machine()
-    compiled = compile_program(
-        workload.program,
-        "region_pred",
-        config,
-        train_predictor(workload.program, cfg, workload.train_memory()),
+    predictor = train_predictor(
+        workload.program, facts.cfg, workload.train_memory()
     )
-    return workload, cfg, config, compiled
+    compiled = compile_program(
+        workload.program, "region_pred", config, predictor, facts
+    )
+    return workload, facts, config, predictor, compiled
 
 
 @pytest.fixture(scope="module")
 def machine_calls(compress):
-    workload, _, config, compiled = compress
+    workload, _, config, _, compiled = compress
     machine = VLIWMachine(compiled.vliw, config, workload.eval_memory())
     result, calls = _count_calls(machine.run)
     return result, calls
@@ -148,8 +174,10 @@ def test_machine_calls_per_cycle(machine_calls):
 
 @pytest.fixture(scope="module")
 def scalar_calls(compress):
-    workload, cfg, _, _ = compress
-    interpreter = Interpreter(workload.program, workload.eval_memory(), cfg=cfg)
+    workload, facts, _, _, _ = compress
+    interpreter = Interpreter(
+        workload.program, workload.eval_memory(), cfg=facts.cfg
+    )
     return _count_calls(interpreter.run)
 
 
@@ -173,12 +201,11 @@ def test_scalar_calls_per_instruction(scalar_calls):
 
 
 def test_counter_calls_per_trace_block(compress, scalar_calls):
-    workload, cfg, config, _ = compress
+    workload, facts, config, predictor, _ = compress
     trace = scalar_calls[0].trace
-    predictor = train_predictor(workload.program, cfg, workload.train_memory())
     # A fresh ScheduledCode: its transition memo starts cold.
     code = compile_program(
-        workload.program, "region_pred", config, predictor
+        workload.program, "region_pred", config, predictor, facts
     ).code
     _, calls = _count_calls(lambda: code.count_cycles(trace, config))
     blocks = len(trace.blocks)
@@ -187,4 +214,62 @@ def test_counter_calls_per_trace_block(compress, scalar_calls):
         f"{per_block:.2f} calls per trace block over {blocks} blocks "
         f"(limit {MAX_COUNTER_CALLS_PER_TRACE_BLOCK})\n"
         + _breakdown(calls, blocks, "trace block")
+    )
+
+
+def test_compile_calls_per_region_item(compress):
+    workload, facts, config, predictor, _ = compress
+    compiled, calls = _count_calls(
+        lambda: compile_program(
+            workload.program, "region_pred", config, predictor, facts
+        )
+    )
+    items = sum(len(unit.region.items) for unit in compiled.code.units.values())
+    per_item = sum(calls.values()) / items
+    assert per_item <= MAX_COMPILE_CALLS_PER_REGION_ITEM, (
+        f"{per_item:.1f} calls per region item over {items} items "
+        f"(limit {MAX_COMPILE_CALLS_PER_REGION_ITEM})\n"
+        + _breakdown(calls, items, "region item")
+    )
+
+
+def test_compile_never_calls_functools(compress):
+    _, _, config, predictor, _ = compress
+    # A fresh program: none of its instructions has decoded yet.
+    workload = get_workload("compress")
+    facts = analyze_program(workload.program)
+    compiled, calls = _count_calls(
+        lambda: compile_program(
+            workload.program, "region_pred", config, predictor, facts
+        )
+    )
+    functools_calls = {
+        name: count
+        for name, count in calls.items()
+        if name.startswith("<functools.py>")
+    }
+    items = sum(len(unit.region.items) for unit in compiled.code.units.values())
+    assert not functools_calls, (
+        f"a compile called into functools: {functools_calls}\n"
+        + _breakdown(calls, items, "region item")
+    )
+
+
+def test_cold_sweep_runs_liveness_once_per_program():
+    from repro.eval.experiments import EXPERIMENTS
+    from repro.eval.runner import ExperimentContext
+
+    ctx = ExperimentContext(use_cache=False)
+
+    def sweep():
+        for driver in EXPERIMENTS.values():
+            driver(ctx)
+
+    _, calls = _count_calls(sweep, functions=True)
+    runs = calls["ir/dataflow.py:compute_liveness"]
+    compiles = calls["compiler/pipeline.py:compile_program"]
+    assert len(EXPERIMENTS) == 13 and compiles == 246, compiles
+    assert runs <= MAX_SWEEP_LIVENESS_RUNS, (
+        f"compute_liveness ran {runs} times for {compiles} compiles "
+        f"(limit {MAX_SWEEP_LIVENESS_RUNS})"
     )

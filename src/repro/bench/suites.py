@@ -6,9 +6,7 @@ Two tiers, mirroring how the simulators are actually exercised:
   to: predicate evaluation against the CCR, the register-file
   commit/squash sweep, store-buffer search, the bundle issue loop, and
   region scheduling.  Each body is sized to run a few milliseconds so
-  clock resolution is never a factor.  The suite also carries the
-  instrumented-vs-uninstrumented tick pair that enforces the
-  observability layer's NULL_SINK zero-cost claim.
+  clock resolution is never a factor.
 * **macro** -- every workload end to end on each engine (functional
   interpreter, scalar baseline machine, and the two executable
   predicating models on the cycle-level VLIW machine), plus
@@ -319,69 +317,6 @@ register(
     "micro.region_schedule", "micro", "ops", iterations=15, warmup=2,
     quick_iterations=3,
 )(_macro_compile("espresso"))
-
-
-_OBS_STATE: list = []
-
-
-def _loaded_regfile_and_ccr():
-    """A register file mid-flight: some decided, some undecided state.
-
-    The *same* instance is served to both obs benchmarks -- allocation
-    locality varies enough between instances to swamp the guard
-    overhead the pair exists to expose.  Safe to share: every buffered
-    predicate stays UNSPEC, so ticking never mutates the file.
-    """
-    if not _OBS_STATE:
-        from repro.core.ccr import CCR
-        from repro.core.predicate import Predicate
-        from repro.core.regfile import PredicatedRegisterFile
-
-        regfile = PredicatedRegisterFile(32, shadow_capacity=None)
-        undecided = Predicate({5: True})  # c5 never set: writes are held
-        for reg in range(1, 13):
-            regfile.write_speculative(reg, reg * 7, undecided)
-        ccr = CCR(8)
-        ccr.set(0, True)
-        _OBS_STATE.append((regfile, ccr))
-    return _OBS_STATE[0]
-
-
-@register(
-    "micro.obs_null_sink_tick", "micro", "ticks", iterations=30, warmup=3,
-    quick_iterations=5,
-)
-def _obs_null_sink_tick() -> Callable[[], int]:
-    """The production commit-hardware tick with the default NULL_SINK:
-    its only instrumentation cost is the ``sink.enabled`` guard sites."""
-    regfile, ccr = _loaded_regfile_and_ccr()
-    rounds = 2_000
-
-    def body() -> int:
-        for _ in range(rounds):
-            regfile.tick(ccr)
-        return rounds
-
-    return body
-
-
-@register(
-    "micro.obs_uninstrumented_tick", "micro", "ticks", iterations=30,
-    warmup=3, quick_iterations=5,
-)
-def _obs_uninstrumented_tick() -> Callable[[], int]:
-    """The uninstrumented timing reference for the zero-cost claim: the
-    same commit hardware invoked below the sink guard sites
-    (:meth:`PredicatedRegisterFile._tick_core`)."""
-    regfile, ccr = _loaded_regfile_and_ccr()
-    rounds = 2_000
-
-    def body() -> int:
-        for _ in range(rounds):
-            regfile._tick_core(ccr)
-        return rounds
-
-    return body
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.program import VLIWProgram
 from repro.machine.vliw import VLIWMachine, _InFlight
 from repro.obs.metrics import NULL_SINK, MetricsSink
+from repro.obs.subscribers import RegionVisits
 from repro.sim.interpreter import Interpreter
 from repro.sim.memory import Memory
 from repro.sim.trace import BranchEvent
@@ -206,6 +207,15 @@ def _metrics_state(sink: MetricsSink) -> dict | None:
     return state_dict() if callable(state_dict) else None
 
 
+def _region_visits(machine: VLIWMachine) -> list[RegionVisits]:
+    """The counters' and tracer's region-visit state, when attached."""
+    return [
+        subscriber
+        for subscriber in getattr(machine._obs, "subscribers", (machine._obs,))
+        if isinstance(subscriber, RegionVisits)
+    ]
+
+
 def _restore_metrics(sink: MetricsSink, state: dict | None) -> None:
     if state is None:
         return
@@ -221,7 +231,7 @@ def snapshot_vliw(machine: VLIWMachine) -> dict:
     """Freeze a running machine at its current cycle boundary."""
     if machine.halted:
         raise CheckpointError("machine already halted; nothing to resume")
-    if machine._record_events:
+    if machine.record_events:
         raise CheckpointError(
             "record_events runs are not checkpointable "
             "(the per-cycle event log is a debugging view)"
@@ -272,14 +282,8 @@ def snapshot_vliw(machine: VLIWMachine) -> dict:
             "speculative_ops": machine.speculative_ops,
         },
         "last_issued": [list(item) for item in machine._last_issued],
-        "observation": (
-            {
-                "current_region": machine._current_region,
-                "region_entry_cycle": machine._region_entry_cycle,
-                "recovery_entry_cycle": machine._recovery_entry_cycle,
-            }
-            if machine._observing
-            else None
+        "observation": next(
+            (visits.state_dict() for visits in _region_visits(machine)), None
         ),
         "metrics": _metrics_state(machine.sink),
     }
@@ -386,10 +390,9 @@ def restore_vliw(
         maxlen=machine._last_issued.maxlen,
     )
     observation = state.get("observation")
-    if machine._observing and observation is not None:
-        machine._current_region = observation["current_region"]
-        machine._region_entry_cycle = observation["region_entry_cycle"]
-        machine._recovery_entry_cycle = observation["recovery_entry_cycle"]
+    if observation is not None:
+        for visits in _region_visits(machine):
+            visits.load_state(observation)
     _restore_metrics(sink, state.get("metrics"))
     return machine
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.core.ccr import CCR
 from repro.core.exceptions import FaultRecord, ScheduleViolation
 from repro.core.predicate import Predicate, PredValue
-from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.taint.tags import TaintTag, taint_from_state, taint_to_state
 
 
@@ -63,11 +62,6 @@ class RegisterFileEntry:
     pending: list[PendingWrite] = field(default_factory=list)
 
     @property
-    def flag_v(self) -> bool:
-        """V flag: a valid speculative value is buffered."""
-        return bool(self.pending)
-
-    @property
     def flag_e(self) -> bool:
         """E flag: an outstanding speculative exception is buffered."""
         return any(write.fault is not None for write in self.pending)
@@ -75,14 +69,12 @@ class RegisterFileEntry:
 
 @dataclass
 class CommitEvents:
-    """Per-cycle commit/squash activity, for tests and the Table 1 replay.
+    """Per-cycle commit/squash activity, for tests and the event stream.
 
     ``committed_values`` carries the ``(reg, value)`` pairs that actually
     reached sequential state this tick (fault-commits detect instead of
     writing, so they appear in ``committed`` but not here); the forensics
-    layer turns these into committed-register effects.  It is collected
-    only when the register file's ``collect_commit_values`` flag is on --
-    forensics-off runs must not pay the per-commit tuple.
+    subscriber turns these into committed-register effects.
     """
 
     committed: list[int] = field(default_factory=list)
@@ -101,7 +93,6 @@ class PredicatedRegisterFile:
         *,
         shadow_capacity: int | None = 1,
         zero_reg: int | None = 0,
-        sink: MetricsSink = NULL_SINK,
     ):
         if num_regs < 1:
             raise ValueError("need at least one register")
@@ -110,20 +101,11 @@ class PredicatedRegisterFile:
         self.num_regs = num_regs
         self.shadow_capacity = shadow_capacity
         self.zero_reg = zero_reg
-        self.sink = sink
-        #: Opt-in (set by the machine when forensics are attached):
-        #: populate ``CommitEvents.committed_values`` during ticks.
-        self.collect_commit_values = False
         self.entries = [RegisterFileEntry() for _ in range(num_regs)]
         #: Registers whose shadow holds at least one buffered write.  The
         #: commit hardware visits only these; every path that fills or
         #: empties a shadow keeps the set exact.
         self.occupied: set[int] = set()
-        if not sink.enabled:
-            # Zero cost by structure: with no sink to feed, the per-cycle
-            # entry point *is* the bare commit hardware (subclasses
-            # change the hardware by overriding ``_tick_core``).
-            self.tick = self._tick_core
 
     # ------------------------------------------------------------------
     # Reads.
@@ -173,19 +155,6 @@ class PredicatedRegisterFile:
             ):
                 return True, write.taint
         return False, None
-
-    def shadow_fault(self, reg: int) -> FaultRecord | None:
-        """The newest buffered fault on *reg*'s shadow, if any.
-
-        Reading a corrupted shadow value propagates the corruption -- the
-        machine uses this to let dependent speculative instructions carry
-        poisoned data without trapping (they are re-executed in recovery).
-        """
-        entry = self._entry(reg)
-        for write in reversed(entry.pending):
-            if write.fault is not None:
-                return write.fault
-        return None
 
     # ------------------------------------------------------------------
     # Writes.
@@ -280,26 +249,9 @@ class PredicatedRegisterFile:
 
         Returns the cycle's commit/squash events.  Detected speculative
         exceptions are reported, not raised: the machine decides how to
-        enter recovery mode.  A file built without a sink is ticked
-        straight through :meth:`_tick_core` (see ``__init__``).
-        """
-        sink = self.sink
-        if not sink.enabled:
-            return self._tick_core(ccr)
-        sink.observe("regfile.shadow_occupancy", self.shadow_occupancy())
-        events = self._tick_core(ccr)
-        sink.count("regfile.commits", len(events.committed))
-        sink.count("regfile.squashes", len(events.squashed))
-        return events
-
-    def _tick_core(self, ccr: CCR) -> CommitEvents:
-        """The commit hardware itself, free of instrumentation.
-
-        All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference when enforcing
-        the NULL_SINK zero-cost claim.  Only occupied registers are
-        visited, in register order, so the events come out exactly as a
-        scan of all entries would produce them.
+        enter recovery mode.  Only occupied registers are visited, in
+        register order, so the events come out exactly as a scan of all
+        entries would produce them.
         """
         events = CommitEvents()
         occupied = self.occupied
@@ -308,7 +260,6 @@ class PredicatedRegisterFile:
         spec = ccr.spec
         val = ccr.val
         entries = self.entries
-        collect = self.collect_commit_values
         for reg in sorted(occupied):
             entry = entries[reg]
             kept: list[PendingWrite] = []
@@ -324,10 +275,7 @@ class PredicatedRegisterFile:
                         events.detected_faults.append(write.fault)
                     else:
                         entry.sequential = write.value
-                        if collect:
-                            events.committed_values.append(
-                                (reg, write.value)
-                            )
+                        events.committed_values.append((reg, write.value))
                     if write.taint is not None:
                         # Architecturally confirmed: the committed value
                         # equals sequential execution's, so the write's
@@ -355,7 +303,8 @@ class PredicatedRegisterFile:
 
     def shadow_occupancy(self) -> int:
         """Buffered speculative values across all registers."""
-        return sum(len(entry.pending) for entry in self.entries)
+        entries = self.entries
+        return sum([len(entries[reg].pending) for reg in self.occupied])
 
     def has_speculative_state(self) -> bool:
         return any(entry.pending for entry in self.entries)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.ccr import CCR
 from repro.core.exceptions import FaultRecord, ScheduleViolation
 from repro.core.predicate import ALWAYS, Predicate
-from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.taint.tags import TaintTag, taint_from_state, taint_to_state
 
 
@@ -63,18 +62,13 @@ class StoreBufferEvents:
 class PredicatedStoreBuffer:
     """FIFO of predicated stores with in-order D-cache retirement."""
 
-    def __init__(self, capacity: int = 16, *, sink: MetricsSink = NULL_SINK):
+    def __init__(self, capacity: int = 16):
         if capacity < 1:
             raise ValueError("store buffer capacity must be >= 1")
         self.capacity = capacity
-        self.sink = sink
         #: The FIFO, oldest first, as ``(serial, entry)`` pairs.
         self.entries: list[tuple[int, StoreBufferEntry]] = []
         self._serial = 0
-        if not sink.enabled:
-            # Zero cost by structure, as in the register file: without a
-            # sink the per-cycle entry point is the bare buffer hardware.
-            self.tick = self._tick_core
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -117,28 +111,7 @@ class PredicatedStoreBuffer:
         """One cycle: evaluate predicates, then retire from the head.
 
         *memory* must expose ``store(address, value)``; retired outputs are
-        appended to *output*.  A buffer built without a sink is ticked
-        straight through :meth:`_tick_core` (see ``__init__``).
-        """
-        sink = self.sink
-        if not sink.enabled:
-            return self._tick_core(ccr, memory, output)
-        sink.observe("storebuffer.occupancy", len(self.entries))
-        events = self._tick_core(ccr, memory, output)
-        sink.count("storebuffer.commits", len(events.committed))
-        sink.count("storebuffer.squashes", len(events.squashed))
-        sink.count("storebuffer.retired_stores", len(events.retired_stores))
-        sink.count("storebuffer.retired_outputs", len(events.retired_outputs))
-        return events
-
-    def _tick_core(
-        self, ccr: CCR, memory, output: list[int]
-    ) -> StoreBufferEvents:
-        """The buffer hardware itself, free of instrumentation.
-
-        All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference when enforcing
-        the NULL_SINK zero-cost claim.
+        appended to *output*.
         """
         events = StoreBufferEvents()
         entries = self.entries
@@ -240,14 +213,17 @@ class PredicatedStoreBuffer:
             if entry.speculative:
                 entry.valid = False
 
-    def drain(self, memory, output: list[int]) -> StoreBufferEvents:
+    def drain(
+        self, memory, output: list[int]
+    ) -> list[tuple[int, StoreBufferEvents]]:
         """Retire every remaining committed entry (used at halt).
 
-        Returns the accumulated retirement events so the forensics layer
-        can fold halt-time retirements into the committed-effect stream.
+        Ticks under an all-unspecified CCR until the buffer stops
+        shrinking; returns ``(occupancy before, events)`` per tick so the
+        halt-time retirements join the event stream.
         """
         ccr = CCR(1)  # all-unspecified CCR: only non-speculative entries move
-        drained = StoreBufferEvents()
+        ticks = []
         while True:
             before = len(self.entries)
             events = self.tick(ccr, memory, output)
@@ -255,13 +231,9 @@ class PredicatedStoreBuffer:
                 raise ScheduleViolation(
                     "faulting store reached retirement during drain"
                 )
-            drained.committed.extend(events.committed)
-            drained.squashed.extend(events.squashed)
-            drained.retired_stores.extend(events.retired_stores)
-            drained.retired_outputs.extend(events.retired_outputs)
+            ticks.append((before, events))
             if len(self.entries) == before:
-                break
-        return drained
+                return ticks
 
     def pending_entries(self) -> list[StoreBufferEntry]:
         """The live entries, oldest first (for tests)."""

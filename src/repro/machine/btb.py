@@ -26,17 +26,14 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.obs.metrics import NULL_SINK, MetricsSink
-
 
 class BranchTargetBuffer:
     """A direct-mapped BTB over abstract control-point keys."""
 
-    def __init__(self, entries: int, *, sink: MetricsSink = NULL_SINK):
+    def __init__(self, entries: int):
         if entries < 1:
             raise ValueError("BTB needs at least one entry")
         self.entries = entries
-        self.sink = sink
         self._slots: list[Hashable | None] = [None] * entries
         self.hits = 0
         self.misses = 0
@@ -46,23 +43,15 @@ class BranchTargetBuffer:
         slot = hash(key) % self.entries
         if self._slots[slot] == key:
             self.hits += 1
-            if self.sink.enabled:
-                self.sink.count("btb.hits")
             return True
         self._slots[slot] = key
         self.misses += 1
-        if self.sink.enabled:
-            self.sink.count("btb.misses")
         return False
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
-
-    def to_counters(self) -> dict[str, int]:
-        """The resolved statistics, in sink counter naming."""
-        return {"btb.hits": self.hits, "btb.misses": self.misses}
 
     # ------------------------------------------------------------------
     # Checkpoint state extraction (JSON-native).

@@ -14,6 +14,7 @@ speculative-state closure, and the RPC roll-back point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.instruction import Instruction
 from repro.isa.printer import format_instruction
@@ -61,11 +62,20 @@ class VLIWProgram:
     def region_starts(self) -> set[int]:
         return {span.start for span in self.regions}
 
-    def region_end_of(self, start: int) -> int:
-        for span in self.regions:
-            if span.start == start:
-                return span.end
-        raise KeyError(f"no region starts at bundle {start}")
+    @cached_property
+    def bundle_regions(self) -> tuple[int, ...]:
+        """For each bundle, the index in ``regions`` of its region."""
+        indices = [0] * len(self.bundles)
+        for index, span in enumerate(self.regions):
+            for bundle in range(span.start, span.end):
+                indices[bundle] = index
+        return tuple(indices)
+
+    def region_at(self, pc: int) -> str | None:
+        """The label of the region holding bundle *pc* (None off the end)."""
+        if 0 <= pc < len(self.bundles):
+            return self.regions[self.bundle_regions[pc]].label
+        return None
 
     def validate(self) -> None:
         """Structural checks the schedulers must satisfy."""
@@ -97,9 +107,6 @@ class VLIWProgram:
                     raise ValueError(
                         f"bundle {index}: provenance/op count mismatch"
                     )
-
-    def total_slots(self) -> int:
-        return sum(len(bundle) for bundle in self.bundles)
 
     def format(self) -> str:
         """Human-readable listing (one bundle per line)."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.ccr import CCR
 from repro.core.exceptions import (
@@ -56,7 +56,7 @@ from repro.core.exceptions import (
     UnhandledFault,
 )
 from repro.core.predicate import ALWAYS, PredValue, Predicate
-from repro.core.regfile import CommitEvents, PredicatedRegisterFile
+from repro.core.regfile import PredicatedRegisterFile
 from repro.core.store_buffer import PredicatedStoreBuffer
 from repro.isa.decode import (
     ALU,
@@ -69,7 +69,6 @@ from repro.isa.decode import (
     STORE,
     DecodedOp,
 )
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import NUM_REGS
 from repro.isa.semantics import (
@@ -94,6 +93,7 @@ from repro.obs.diagnostics import (
 from repro.obs.effects import EffectStream
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.metrics import NULL_SINK, MetricsSink
+from repro.obs.subscribers import CycleEvents, machine_observer
 from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.memory import Memory, MemoryFault
 from repro.taint.tags import TaintTag, merge_taint, rekind_address
@@ -124,18 +124,6 @@ class _InFlight:
     pred: Predicate
     fault: FaultRecord | None = None
     taint: frozenset[TaintTag] | None = None
-
-
-@dataclass
-class CycleEvents:
-    """What one cycle did -- the rows of the paper's Table 1."""
-
-    cycle: int
-    sequential_writes: list[int] = field(default_factory=list)
-    speculative_writes: list[tuple[str, str]] = field(default_factory=list)
-    committed: list[str] = field(default_factory=list)
-    squashed: list[str] = field(default_factory=list)
-    ccr_sets: list[tuple[int, bool]] = field(default_factory=list)
 
 
 @dataclass
@@ -202,11 +190,9 @@ class VLIWMachine:
 
         self.ccr = CCR(config.ccr_entries)
         self.regfile = PredicatedRegisterFile(
-            NUM_REGS, shadow_capacity=config.shadow_capacity, sink=sink
+            NUM_REGS, shadow_capacity=config.shadow_capacity
         )
-        self.store_buffer = PredicatedStoreBuffer(
-            config.store_buffer_capacity, sink=sink
-        )
+        self.store_buffer = PredicatedStoreBuffer(config.store_buffer_capacity)
         self.output: list[int] = []
 
         self.pc = 0
@@ -239,40 +225,25 @@ class VLIWMachine:
         # paths (e.g. the fault injector) must raise it again.
         self._maybe_fault = True
         self._btb = (
-            BranchTargetBuffer(config.btb_entries, sink=sink)
+            BranchTargetBuffer(config.btb_entries)
             if config.btb_entries is not None
             else None
         )
 
-        # Observability.  ``_observing`` guards every hot-path hook so a
-        # NullSink run with no tracer pays one boolean test per site;
-        # ``_forensics`` does the same for the flight recorder and the
-        # committed-effect stream.
-        self._observing = sink.enabled or tracer is not None
-        self._forensics = flight.enabled or effects is not None
-        # Taint follows the same zero-cost convention: one cached bool,
-        # one branch per would-be taint site when tracking is off.
+        # The event stream's one observer slot (``repro.obs.events``):
+        # the attached sink, tracer, flight recorder, effect stream and
+        # Table 1 log (``events``), or None when nothing is attached.
+        self.events: list[CycleEvents] = []
+        self.record_events = record_events
+        self._obs = machine_observer(
+            program, sink=sink, tracer=tracer, flight=flight, effects=effects,
+            events=self.events if record_events else None,
+        )
+        # Taint is a propagation layer, not a subscriber: one cached bool.
         self._taint = taint.enabled
-        # Commit-value collection in the regfile tick is opt-in so a
-        # forensics-off run never pays the per-commit tuple.
-        self.regfile.collect_commit_values = self._forensics
         self._last_issued: deque[tuple[int, int]] = deque(
             maxlen=SNAPSHOT_BUNDLES
         )
-        if self._observing or self._forensics or self._taint:
-            self._region_of_bundle = [0] * len(program.bundles)
-            for index, span in enumerate(program.regions):
-                for bundle in range(span.start, span.end):
-                    self._region_of_bundle[bundle] = index
-        if self._observing:
-            self._current_region: int | None = None
-            self._region_entry_cycle = 0
-            self._recovery_entry_cycle: int | None = None
-
-        # Optional per-cycle event log (the Table 1 view).
-        self.events: list[CycleEvents] = []
-        self._cycle_events: CycleEvents | None = None
-        self._record_events = record_events
 
         # Statistics.
         self.bundles_issued = 0
@@ -348,11 +319,9 @@ class VLIWMachine:
             )
 
         self.cycle += 1
-        if self._observing:
-            self._observe_cycle()
-        if self._record_events:
-            self._cycle_events = CycleEvents(cycle=self.cycle)
-            self.events.append(self._cycle_events)
+        obs = self._obs
+        if obs is not None:
+            obs.cycle(self)
         self._tick()
 
         needs_buffer = self._bundle_store_ops[self.pc]
@@ -361,8 +330,8 @@ class VLIWMachine:
             > self.store_buffer.capacity
         ):
             self._stalls += 1
-            if self._observing:
-                self.sink.count("machine.stall_cycles")
+            if obs is not None:
+                obs.stall(self)
             if self._stalls > _MAX_CONSECUTIVE_STALLS:
                 raise StoreBufferDeadlock(
                     "store buffer deadlock", self.snapshot()
@@ -384,8 +353,6 @@ class VLIWMachine:
     def _finalize(self) -> None:
         self._halted = True
         self._drain_at_halt()
-        if self._observing:
-            self._close_observation()
         self._result = VLIWResult(
             output=list(self.output),
             registers=self.regfile.sequential_snapshot(),
@@ -406,17 +373,16 @@ class VLIWMachine:
         return self._result
 
     def _tick(self) -> None:
+        """The commit tick, at the top of every cycle (the fault injector
+        overrides it to corrupt buffered state just before the tick)."""
         # Quiet cycle: nothing buffered anywhere, so the commit hardware
-        # has nothing to evaluate.  An observed run still ticks every
-        # cycle -- the sink samples occupancy each cycle.
-        if not (
-            self.regfile.occupied or self.store_buffer.entries or self._observing
-        ):
+        # has nothing to evaluate.
+        if not (self.regfile.occupied or self.store_buffer.entries):
             return
         rf_events = self.regfile.tick(self.ccr)
         sb_events = self.store_buffer.tick(self.ccr, self.memory, self.output)
-        if self._forensics:
-            self._forensic_tick(rf_events, sb_events)
+        if self._obs is not None:
+            self._obs.tick(self, rf_events, sb_events)
         if self._taint and rf_events.committed:
             # Shadow entries confirmed TRUE moved to sequential storage
             # with their taint declassified (the committed value equals
@@ -428,11 +394,6 @@ class VLIWMachine:
             self.taint.declassify(
                 rf_events.declassified + sb_events.declassified
             )
-        if self._cycle_events is not None:
-            self._cycle_events.committed += [f"r{r}" for r in rf_events.committed]
-            self._cycle_events.squashed += [f"r{r}" for r in rf_events.squashed]
-            self._cycle_events.committed += [f"sb{s}" for s in sb_events.committed]
-            self._cycle_events.squashed += [f"sb{s}" for s in sb_events.squashed]
         if rf_events.detected_faults or sb_events.detected_faults:
             # The combinational end-of-cycle check catches every commit of a
             # buffered E flag before the tick can see it.
@@ -467,198 +428,6 @@ class VLIWMachine:
             last_bundles=recent,
         )
 
-    def _region_label(self, region_index: int) -> str:
-        return self.program.regions[region_index].label
-
-    def _observe_cycle(self) -> None:
-        """Attribute the cycle just charged to the region holding PC."""
-        region_index = self._region_of_bundle[self.pc]
-        if region_index != self._current_region:
-            self._note_region_change(region_index)
-        self.sink.count("machine.cycles")
-        self.sink.count(f"region.cycles/{self._region_label(region_index)}")
-        if self.mode is MachineMode.RECOVERY:
-            self.sink.count("machine.recovery.cycles")
-
-    def _note_region_change(self, region_index: int) -> None:
-        if self.tracer is not None and self._current_region is not None:
-            self.tracer.span(
-                "region",
-                self._region_label(self._current_region),
-                self._region_entry_cycle,
-                self.cycle,
-            )
-        self._current_region = region_index
-        self._region_entry_cycle = self.cycle
-
-    def _observe_issue(self, bundle) -> None:
-        label = self._region_label(self._region_of_bundle[self.pc])
-        self.sink.count("machine.bundles")
-        self.sink.count("machine.ops.issued", len(bundle))
-        self.sink.count(f"region.bundles/{label}")
-        self.sink.count(f"region.ops/{label}", len(bundle))
-        self.sink.observe("machine.issue_slots", len(bundle))
-        provenance = self.program.provenance
-        if provenance is not None:
-            for origin in provenance[self.pc]:
-                self.sink.count(f"block.ops/B{origin}")
-
-    def _observe_op(
-        self, op: Instruction, verdict: PredValue | None, squashed: bool
-    ) -> None:
-        if squashed:
-            self.sink.count("machine.ops.squashed")
-        elif verdict is PredValue.UNSPEC:
-            self.sink.count("machine.ops.speculative")
-        if self.tracer is not None:
-            self.tracer.op(
-                self.cycle,
-                op.fu.value,
-                op.opcode,
-                duration=1 if squashed else op.latency,
-                args={
-                    "instr": format_instruction(op),
-                    "pred": str(op.pred),
-                    "verdict": "SQUASHED" if squashed else verdict.name,
-                    "pc": self.pc,
-                },
-            )
-
-    def _close_observation(self) -> None:
-        """Flush open tracer spans at halt."""
-        if self.tracer is None:
-            return
-        if self._current_region is not None:
-            self.tracer.span(
-                "region",
-                self._region_label(self._current_region),
-                self._region_entry_cycle,
-                self.cycle + 1,
-            )
-            self._current_region = None
-        if self._recovery_entry_cycle is not None:
-            self.tracer.span(
-                "mode",
-                "recovery",
-                self._recovery_entry_cycle,
-                self.cycle + 1,
-            )
-            self._recovery_entry_cycle = None
-
-    # ------------------------------------------------------------------
-    # Forensics: flight recorder + committed-effect stream.
-    #
-    # Every call site guards with ``if self._forensics:`` so disabled
-    # runs pay one boolean test, mirroring ``_observing``.  Architectural
-    # effects are emitted exactly at the paper's commit points: regfile
-    # tick commits, non-speculative write-backs, store-buffer retirement
-    # and the halt-time drain.
-    # ------------------------------------------------------------------
-    def _region_name(self) -> str | None:
-        if 0 <= self.pc < len(self._region_of_bundle):
-            return self._region_label(self._region_of_bundle[self.pc])
-        return None
-
-    def _forensic_tick(self, rf_events, sb_events) -> None:
-        region = self._region_name()
-        cycle, pc = self.cycle, self.pc
-        flight = self.flight
-        effects = self.effects
-        if flight.enabled:
-            for reg in rf_events.squashed:
-                flight.record(cycle, pc, region, "reg.squash", f"r{reg}")
-            for serial in sb_events.committed:
-                flight.record(cycle, pc, region, "sb.commit", f"entry {serial}")
-            for serial in sb_events.squashed:
-                flight.record(cycle, pc, region, "sb.squash", f"entry {serial}")
-        for reg, value in rf_events.committed_values:
-            if flight.enabled:
-                flight.record(
-                    cycle, pc, region, "reg.commit", f"r{reg} = {value}"
-                )
-            if effects is not None:
-                effects.emit_reg(reg, value, cycle=cycle, pc=pc, region=region)
-        for address, value in sb_events.retired_stores:
-            if flight.enabled:
-                flight.record(
-                    cycle, pc, region, "sb.retire", f"mem[{address}] = {value}"
-                )
-            if effects is not None:
-                effects.emit_mem(
-                    address, value, cycle=cycle, pc=pc, region=region
-                )
-        for value in sb_events.retired_outputs:
-            if flight.enabled:
-                flight.record(cycle, pc, region, "sb.retire", f"out {value}")
-            if effects is not None:
-                effects.emit_out(value, cycle=cycle, pc=pc, region=region)
-
-    def _forensic_issue(self, bundle) -> None:
-        if not self.flight.enabled:
-            return
-        ops = "; ".join(format_instruction(op) for op in bundle)
-        mode = "[recovery] " if self.mode is MachineMode.RECOVERY else ""
-        self.flight.record(
-            self.cycle, self.pc, self._region_name(), "issue", f"{mode}{ops}"
-        )
-
-    def _forensic_writeback(self, entry: _InFlight, *, shadow: bool) -> None:
-        if entry.reg == self.regfile.zero_reg:
-            return
-        region = self._region_name()
-        pred = None if entry.pred.is_always else str(entry.pred)
-        if shadow:
-            if self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    region,
-                    "reg.shadow",
-                    f"r{entry.reg} = {entry.value}",
-                    pred,
-                )
-            return
-        if self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                region,
-                "reg.write",
-                f"r{entry.reg} = {entry.value}",
-                pred,
-            )
-        if self.effects is not None:
-            self.effects.emit_reg(
-                entry.reg,
-                entry.value,
-                cycle=self.cycle,
-                pc=self.pc,
-                region=region,
-                pred=pred,
-            )
-
-    def _forensic_fault(self, kind: str, fault: FaultRecord, pred=None) -> None:
-        where = fault.address if fault.address is not None else "?"
-        pred_text = None if pred is None or pred.is_always else str(pred)
-        if self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                kind,
-                f"{fault.kind.value}@{where}",
-                pred_text,
-            )
-        if kind == "fault.handled" and self.effects is not None:
-            self.effects.emit_fault(
-                fault.kind.value,
-                fault.address if fault.address is not None else -1,
-                cycle=self.cycle,
-                pc=self.pc,
-                region=self._region_name(),
-                pred=pred_text,
-            )
-
     # ------------------------------------------------------------------
     # Issue.
     # ------------------------------------------------------------------
@@ -667,10 +436,11 @@ class VLIWMachine:
         self.bundles_issued += 1
         self.issued_ops += len(bundle)
         self._last_issued.append((self.cycle, self.pc))
-        if self._observing:
-            self._observe_issue(self.program.bundles[self.pc])
-        if self._forensics:
-            self._forensic_issue(self.program.bundles[self.pc])
+        obs = self._obs
+        on_op = None
+        if obs is not None:
+            obs.issue(self)
+            on_op = obs.op
         in_recovery = self.mode is MachineMode.RECOVERY
         ccr = self.ccr
         regfile = self.regfile
@@ -692,15 +462,13 @@ class VLIWMachine:
                 self.speculative_ops += 1
             elif in_recovery or (ccr.val ^ rec.bits) & care:
                 self.squashed_ops += 1
-                if self._observing:
-                    self._observe_op(rec.op, None, squashed=True)
+                if on_op is not None:
+                    on_op(self, rec.op, None)
                 continue
             else:
                 speculative = False
-            if self._observing:
-                self._observe_op(
-                    rec.op, _UNSPEC if speculative else _TRUE, squashed=False
-                )
+            if on_op is not None:
+                on_op(self, rec.op, _UNSPEC if speculative else _TRUE)
 
             kind = rec.kind
             if kind == ALU:
@@ -763,7 +531,7 @@ class VLIWMachine:
                             taint,
                             self.cycle,
                             self.pc,
-                            self._region_name(),
+                            self.program.region_at(self.pc),
                         )
                 pending_ccr.append((rec.creg, self._compute(rec)))
             elif kind == JUMP or kind == BRANCH:
@@ -797,22 +565,8 @@ class VLIWMachine:
                 ccr_next = ccr.clone()
             for index, value in pending_ccr:
                 ccr_next.set(index, value)
-                if self._cycle_events is not None:
-                    self._cycle_events.ccr_sets.append((index, value))
-                if self._observing:
-                    self.sink.count("machine.ccr_sets")
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            self.cycle, "ccr", f"c{index}={int(value)}"
-                        )
-                if self._forensics and self.flight.enabled:
-                    self.flight.record(
-                        self.cycle,
-                        self.pc,
-                        self._region_name(),
-                        "ccr.write",
-                        f"c{index} = {int(value)}",
-                    )
+                if obs is not None:
+                    obs.ccr_set(self, index, value)
 
         if check_faults and self._exception_commits(ccr_next):
             # The future CCR must be a private instance even when no
@@ -868,29 +622,18 @@ class VLIWMachine:
         serial = self.store_buffer.append(
             None, value, rec.pred, speculative=speculative, taint=taint
         )
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "sb.insert",
-                f"entry {serial}: out {value}",
-                str(rec.pred) if speculative else None,
+        if self._obs is not None:
+            self._obs.sb_insert(
+                self, serial, None, value, rec.pred if speculative else None
             )
 
     def _execute_load(self, rec: DecodedOp, speculative: bool) -> None:
         address = effective_address(self._read_src(rec, 0), rec.imm)
         reader_pred = rec.pred if speculative else ALWAYS
         forwarded = self.store_buffer.lookup(address, reader_pred)
-        if self._forensics and self.flight.enabled:
-            outcome = "miss" if forwarded is None else f"hit {forwarded}"
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "sb.lookup",
-                f"mem[{address}] {outcome}",
-                str(rec.pred) if speculative else None,
+        if self._obs is not None:
+            self._obs.sb_lookup(
+                self, address, forwarded, rec.pred if speculative else None
             )
         if forwarded is None:
             try:
@@ -945,8 +688,8 @@ class VLIWMachine:
                     fault = None
         if fault is not None:
             self._maybe_fault = True
-            if self._forensics:
-                self._forensic_fault("fault.buffer", fault, rec.pred)
+            if self._obs is not None:
+                self._obs.fault_buffered(self, fault, rec.pred)
         taint = None
         if self._taint:
             taint = merge_taint(
@@ -969,18 +712,9 @@ class VLIWMachine:
             fault=fault,
             taint=taint,
         )
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "sb.insert",
-                f"entry {serial}: mem[{address}] = {value}",
-                str(rec.pred) if speculative else None,
-            )
-        if self._cycle_events is not None and speculative:
-            self._cycle_events.speculative_writes.append(
-                (f"sb{serial}", str(rec.pred))
+        if self._obs is not None:
+            self._obs.sb_insert(
+                self, serial, address, value, rec.pred if speculative else None
             )
 
     # ------------------------------------------------------------------
@@ -1013,8 +747,8 @@ class VLIWMachine:
         elif decision is PredValue.FALSE:
             self._schedule_writeback(rec, 0, speculative=True)
         else:
-            if self._forensics:
-                self._forensic_fault("fault.buffer", fault, rec.pred)
+            if self._obs is not None:
+                self._obs.fault_buffered(self, fault, rec.pred)
             self._schedule_writeback(rec, 0, speculative=True, fault=fault)
 
     def _future_verdict(self, rec: DecodedOp) -> PredValue:
@@ -1027,14 +761,12 @@ class VLIWMachine:
         self, rec: DecodedOp, fault: FaultRecord
     ) -> None:
         if self.fault_handler is None or not self.fault_handler(fault, self):
-            if self._forensics:
-                self._forensic_fault("fault.unhandled", fault, rec.pred)
+            if self._obs is not None:
+                self._obs.fault_unhandled(self, fault, rec.pred)
             raise UnhandledFault(fault)
         self.handled_faults += 1
-        if self._observing:
-            self.sink.count("machine.faults.handled")
-        if self._forensics:
-            self._forensic_fault("fault.handled", fault, rec.pred)
+        if self._obs is not None:
+            self._obs.fault_handled(self, fault, rec.pred)
 
     # ------------------------------------------------------------------
     # Operand access and writeback.
@@ -1097,7 +829,7 @@ class VLIWMachine:
             taint = merge_taint(
                 taint,
                 self.taint.source(
-                    self.cycle, self.pc, self._region_name(), address
+                    self.cycle, self.pc, self.program.region_at(self.pc), address
                 ),
             )
         return taint
@@ -1124,9 +856,8 @@ class VLIWMachine:
         if taint is None or speculative:
             return taint
         if rec.pred.is_always:
-            self.taint.leak(
-                kind, self.cycle, self.pc, self._region_name(), detail, taint
-            )
+            region = self.program.region_at(self.pc)
+            self.taint.leak(kind, self.cycle, self.pc, region, detail, taint)
             return taint
         self.taint.declassify()
         return None
@@ -1146,7 +877,7 @@ class VLIWMachine:
                 "register",
                 self.cycle,
                 self.pc,
-                self._region_name(),
+                self.program.region_at(self.pc),
                 f"r{entry.reg} = {entry.value}",
                 entry.taint,
             )
@@ -1191,6 +922,7 @@ class VLIWMachine:
     def _apply_due_writebacks(self, ccr: CCR) -> None:
         cycle = self.cycle
         regfile = self.regfile
+        obs = self._obs
         still_flying: list[_InFlight] = []
         for entry in self._in_flight:
             if entry.due_cycle > cycle:
@@ -1206,12 +938,8 @@ class VLIWMachine:
                     fault=entry.fault,
                     taint=entry.taint,
                 )
-                if self._cycle_events is not None:
-                    self._cycle_events.speculative_writes.append(
-                        (f"r{entry.reg}", str(pred))
-                    )
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=True)
+                if obs is not None:
+                    obs.shadow_write(self, entry.reg, entry.value, pred)
             elif not (ccr.val ^ pred.bits) & care:  # TRUE: sequential
                 if entry.fault is not None:
                     # Unreachable: _exception_commits scans in-flight
@@ -1222,10 +950,8 @@ class VLIWMachine:
                 regfile.write_committed(entry.reg, entry.value, ccr)
                 if self._taint:
                     self._commit_taint(entry)
-                if self._cycle_events is not None:
-                    self._cycle_events.sequential_writes.append(entry.reg)
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=False)
+                if obs is not None:
+                    obs.sequential_write(self, entry.reg, entry.value, pred)
             # FALSE: discarded.
         self._in_flight = still_flying
 
@@ -1238,8 +964,10 @@ class VLIWMachine:
                 self.regfile.write_committed(entry.reg, entry.value, self.ccr)
                 if self._taint:
                     self._commit_taint(entry)
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=False)
+                if self._obs is not None:
+                    self._obs.flush_write(
+                        self, entry.reg, entry.value, entry.pred
+                    )
         self._in_flight = []
 
     # ------------------------------------------------------------------
@@ -1283,9 +1011,6 @@ class VLIWMachine:
     def _enter_recovery(self, ccr_next: CCR) -> None:
         """Suppress the CCR update and roll back to the region top."""
         self.recoveries += 1
-        if self._observing:
-            self.sink.count("machine.recovery.entries")
-            self._recovery_entry_cycle = self.cycle
         self.future_ccr = ccr_next
         self._flush_in_flight()
         self.regfile.invalidate_speculative()
@@ -1293,59 +1018,26 @@ class VLIWMachine:
         self.epc = self.pc
         self.pc = self.rpc
         self.mode = MachineMode.RECOVERY
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "recovery.enter",
-                f"rollback to rpc={self.rpc}, epc={self.epc}",
-            )
+        if self._obs is not None:
+            self._obs.recovery_enter(self)
 
     def _finish_recovery(self) -> None:
         assert self.future_ccr is not None
-        if self._observing and self._recovery_entry_cycle is not None:
-            if self.tracer is not None:
-                self.tracer.span(
-                    "mode",
-                    "recovery",
-                    self._recovery_entry_cycle,
-                    self.cycle + 1,
-                )
-            self._recovery_entry_cycle = None
         self._apply_due_writebacks(self.ccr)
         self.ccr.copy_from(self.future_ccr)
         self.future_ccr = None
         self.mode = MachineMode.NORMAL
         self.pc = self.epc + 1
         self.epc = None
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "recovery.exit",
-                f"resume at pc={self.pc}",
-            )
+        if self._obs is not None:
+            self._obs.recovery_exit(self)
 
     # ------------------------------------------------------------------
     # Transfers and halt.
     # ------------------------------------------------------------------
     def _transfer(self, rec: DecodedOp) -> None:
-        target = rec.target
         destination = rec.target_pc
         self._flush_in_flight()
-        if self._forensics and self.flight.enabled:
-            kind = (
-                "region" if destination in self._region_starts else "local"
-            )
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "transfer",
-                f"{kind} -> {target} (pc={destination})",
-            )
         if destination in self._region_starts:
             # Region transfer: speculative state is closed in the region --
             # anything still pending belongs to an untaken path.
@@ -1357,39 +1049,27 @@ class VLIWMachine:
                 # goes with them.
                 self.taint.clear_ccr()
             self.rpc = destination
-        if self._btb is not None and not self._btb.access(self.pc):
+        btb_hit = None if self._btb is None else self._btb.access(self.pc)
+        if btb_hit is False:
             penalty = self.config.taken_penalty_indirect
         else:
             penalty = self.config.taken_penalty_btb
+        if self._obs is not None:
+            self._obs.transfer(self, rec.target, destination, penalty, btb_hit)
         self.cycle += penalty
-        if self._observing and penalty:
-            # Boundary convention: transfer-penalty cycles are charged to
-            # the *departing* region (PC still points at the source here).
-            self.sink.count("machine.cycles", penalty)
-            self.sink.count("machine.transfer_penalty_cycles", penalty)
-            self.sink.count(
-                f"region.cycles/"
-                f"{self._region_label(self._region_of_bundle[self.pc])}",
-                penalty,
-            )
         self.pc = destination
 
     def _drain_at_halt(self) -> None:
         self._flush_in_flight()
+        obs = self._obs
+        if obs is not None:
+            obs.halt(self)
         rf_events = self.regfile.tick(self.ccr)
         sb_events = self.store_buffer.tick(self.ccr, self.memory, self.output)
-        if self._forensics:
-            self._forensic_tick(rf_events, sb_events)
+        if obs is not None:
+            obs.tick(self, rf_events, sb_events)
         self.regfile.invalidate_speculative()
         self.store_buffer.invalidate_speculative()
-        drained = self.store_buffer.drain(self.memory, self.output)
-        if self._forensics:
-            self._forensic_tick(CommitEvents(), drained)
-            if self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    self._region_name(),
-                    "halt",
-                    "store buffer drained",
-                )
+        ticks = self.store_buffer.drain(self.memory, self.output)
+        if obs is not None:
+            obs.drain(self, ticks)

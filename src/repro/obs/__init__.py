@@ -2,6 +2,9 @@
 
 The subsystem's pieces are all near-zero-cost when unused:
 
+* :mod:`repro.obs.events` / :mod:`repro.obs.subscribers` -- the
+  executors' one event stream and its subscribers, which feed the
+  outputs below;
 * :mod:`repro.obs.metrics` -- the :class:`MetricsSink` protocol with the
   no-op :data:`NULL_SINK` default and the collecting
   :class:`CounterSink`;

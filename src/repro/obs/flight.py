@@ -6,11 +6,9 @@ commit/squash, store-buffer insert/search/retire, fault raises, and
 recovery entry/exit.  Each event is stamped with the cycle, pc, region,
 and (where meaningful) the predicate vector under which it happened.
 
-Like :mod:`repro.obs.metrics`, the disabled state is the base class:
-``FlightRecorder.enabled`` is ``False`` and every hook is a no-op, so
-hot paths guard with ``if recorder.enabled:`` (or a cached boolean) and
-pay only a predictable branch when forensics are off.  ``RingRecorder``
-keeps the last *capacity* events in a ``deque(maxlen=...)`` -- memory
+The disabled state is the base class (``enabled`` False, every hook a
+no-op): an executor given it attaches no forensics subscriber (see
+:mod:`repro.obs.subscribers`).  ``RingRecorder`` keeps the last *capacity* events in a ``deque(maxlen=...)`` -- memory
 stays O(capacity) no matter how long the run is, which is the whole
 point of a flight recorder: you read it backwards from the crash.
 """

@@ -1,12 +1,9 @@
 """Metrics sinks: named counters and histograms for the simulator stack.
 
-The observability layer is pull-free: instrumented components *push*
-increments into a :class:`MetricsSink` they were handed at construction.
-The default sink is :data:`NULL_SINK`, whose methods are no-ops and whose
-``enabled`` flag is False -- hot paths guard their instrumentation with
-``if sink.enabled:`` so a production run pays one attribute test, not a
-call, per would-be sample.  :class:`CounterSink` is the collecting
-implementation behind ``repro profile`` and the observability tests.
+Components *push* increments into the :class:`MetricsSink` they were
+handed.  The default :data:`NULL_SINK` is disabled (``enabled`` False,
+methods no-ops): an executor given it attaches no counter subscriber.
+:class:`CounterSink` collects, behind ``repro profile`` and the tests.
 
 Counter naming convention (documented in DESIGN.md "Observability"):
 

@@ -38,12 +38,13 @@ from repro.isa.decode import (
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.isa.registers import NUM_CREGS, NUM_REGS, ZERO_REG
-from repro.isa.printer import format_instruction
 from repro.isa.semantics import I64_MAX, I64_MIN, ArithmeticFault, to_i64
 from repro.obs.diagnostics import InterpreterSnapshot
 from repro.obs.effects import EffectStream
+from repro.obs.events import Observer
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.metrics import NULL_SINK, MetricsSink
+from repro.obs.subscribers import scalar_observer
 from repro.sim.memory import Memory, MemoryFault
 from repro.sim.trace import BranchEvent, DynamicTrace
 from repro.taint.tags import merge_taint, rekind_address
@@ -55,6 +56,10 @@ DEFAULT_MAX_STEPS = 20_000_000
 
 #: CFG blocks the interpreter remembers for the livelock snapshot.
 RECENT_BLOCKS = 8
+
+#: Stands in for a missing observer on a taint-tracked run, whose taint
+#: sites ride the observer sites.
+_NO_OBSERVER = Observer()
 
 
 class StepLimitExceeded(RuntimeError):
@@ -126,22 +131,17 @@ class Interpreter:
         self.fault_handler = fault_handler
         self.max_steps = max_steps
         self.sink = sink
-        # Forensics: the scalar side emits every architectural effect
-        # directly at execution -- there is no speculative state to
-        # commit, so the effect stream *is* the instruction stream's
-        # architectural footprint.  Guarded like ``sink.enabled``.
+        # The event stream's one observer slot, as in the machine; every
+        # scalar effect is architectural at once.
         self.flight = flight
         self.effects = effects
-        self._forensics = flight.enabled or effects is not None
+        self._obs = scalar_observer(sink=sink, flight=flight, effects=effects)
         # Information flow: the scalar model has no speculation, so the
         # only sources are taints seeded by a campaign or test; every
         # architectural write is an immediate commit, hence an immediate
-        # sink check.  Guarded by one cached boolean like forensics.
+        # sink check.
         self.taint = taint
         self._taint = taint.enabled
-        # Any observer at all: the run loop writes its locals back before
-        # the observer sites only when this is set.
-        self._watching = sink.enabled or self._forensics or self._taint
         self._current_block: int | None = None
         self.registers = [0] * NUM_REGS
         self.cregs = [False] * NUM_CREGS
@@ -222,7 +222,7 @@ class Interpreter:
 
         ``pc``, ``steps``, ``scalar_cycles``, the last load's destination
         and the current block live in locals.  They are written back to
-        the fields before every observer call, before the fault handler
+        the fields before every observer event, before the fault handler
         (which receives the interpreter), before
         :class:`StepLimitExceeded` and on exit, so hooks, handlers and
         exceptions see exactly the state of a step-at-a-time executor;
@@ -245,7 +245,12 @@ class Interpreter:
         block_at = self._block_at
         blocks = None if trace is None else trace.blocks
         branches = None if trace is None else trace.branches
-        watching = self._watching
+        # The observer slot; a taint-tracked run without observers still
+        # needs the sites, so it watches through the no-op observer.
+        taint = self._taint
+        obs = self._obs
+        if obs is None and taint:
+            obs = _NO_OBSERVER
         regs = self.registers  # r0 is never written, so regs[0] == 0
         cregs = self.cregs
         memory = self.memory
@@ -271,16 +276,16 @@ class Interpreter:
             if kind == HALT:
                 self._halted = True
                 break
-            if watching:
+            if obs is not None:
                 self._write_back(pc, steps, cycles, last_load, current_block)
-                self._observe_issue(rec)
+                obs.issue(self)
             if last_load is not None and (
                 last_load == rec.src0 or last_load == rec.src1
             ):
                 cycles += 1  # load-use interlock stall
-                if watching:
+                if obs is not None:
                     self.scalar_cycles = cycles
-                    self._observe_stall()
+                    obs.interlock(self)
             next_pc = pc + 1
             load_dest = None
 
@@ -297,12 +302,16 @@ class Interpreter:
                             value = to_i64(value)
                         if rec.dest != ZERO_REG:
                             regs[rec.dest] = value
-                        if watching:
-                            self._observe_reg_write(rec, value)
+                        if obs is not None:
+                            if taint:
+                                self._taint_write(rec)
+                            obs.sequential_write(self, rec.dest, value, None)
                     else:
                         cregs[rec.creg] = value
-                        if watching:
-                            self._observe_condition(rec, value)
+                        if obs is not None:
+                            if taint:
+                                self._taint_condition(rec)
+                            obs.ccr_set(self, rec.creg, value)
                 elif kind == LOAD:
                     address = regs[rec.src0] + rec.imm
                     if not I64_MIN <= address <= I64_MAX:
@@ -310,8 +319,10 @@ class Interpreter:
                     value = memory.load(address)
                     if rec.dest != ZERO_REG:
                         regs[rec.dest] = value
-                    if watching:
-                        self._observe_reg_write(rec, value, address)
+                    if obs is not None:
+                        if taint:
+                            self._taint_write(rec, address)
+                        obs.sequential_write(self, rec.dest, value, None)
                     load_dest = rec.dest
                 elif kind == BRANCH:
                     condition = cregs[rec.creg]
@@ -323,26 +334,30 @@ class Interpreter:
                     if taken:
                         next_pc = rec.target_pc
                         cycles += 1  # taken-transfer penalty
-                        if watching:
+                        if obs is not None:
                             self.scalar_cycles = cycles
-                            self._observe_transfer(next_pc)
+                            obs.transfer(self, rec.target, next_pc, 1, None)
                 elif kind == JUMP:
                     next_pc = rec.target_pc
                     cycles += 1  # taken-transfer penalty
-                    if watching:
+                    if obs is not None:
                         self.scalar_cycles = cycles
-                        self._observe_transfer(next_pc)
+                        obs.transfer(self, rec.target, next_pc, 1, None)
                 elif kind == STORE:
                     address = regs[rec.src1] + rec.imm
                     if not I64_MIN <= address <= I64_MAX:
                         address = to_i64(address)
                     memory.store(address, regs[rec.src0])
-                    if watching:
-                        self._observe_store(rec, address)
+                    if obs is not None:
+                        if taint:
+                            self._taint_store(rec, address)
+                        obs.store(self, address, regs[rec.src0])
                 elif kind == OUT:
                     self.output.append(regs[rec.src0])
-                    if watching:
-                        self._observe_out(rec)
+                    if obs is not None:
+                        if taint:
+                            self._taint_out(rec)
+                        obs.output(self, regs[rec.src0])
                 # NOP: nothing to do.
             except (MemoryFault, ArithmeticFault) as error:
                 self._write_back(pc, steps, cycles, last_load, current_block)
@@ -376,145 +391,86 @@ class Interpreter:
         self._last_load_dest = last_load
         self._current_block = current_block
 
-    # ------------------------------------------------------------------
-    # Observer sites (each guarded by ``self._watching`` in the loop, and
-    # entered with the loop's locals written back).
-    # ------------------------------------------------------------------
-    def _observe_issue(self, rec: DecodedOp) -> None:
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles,
-                self.pc,
-                self._region_name(),
-                "issue",
-                format_instruction(rec.op),
-            )
-        if self.sink.enabled:
-            self.sink.count("scalar.instructions")
-            self.sink.count("scalar.cycles")
-
-    def _observe_stall(self) -> None:
-        if self.sink.enabled:
-            self.sink.count("scalar.cycles")
-            self.sink.count("scalar.load_use_stalls")
-
-    def _observe_reg_write(
-        self, rec: DecodedOp, value: int, address: int | None = None
-    ) -> None:
-        """An ALU result, or a load's value read from *address*."""
-        if self._taint:
-            if rec.kind == LOAD:
-                taint = merge_taint(
-                    self.taint.mem_taint.get(address),
-                    rekind_address(self.taint.reg_taint.get(rec.src0)),
-                )
-            else:
-                taint = self._union_reg_taint(rec.op.src_regs)
-            self._set_reg_taint(rec.dest, taint)
-        if self._forensics:
-            self._forensic_reg(rec.dest, value)
-
-    def _observe_condition(self, rec: DecodedOp, condition: bool) -> None:
-        if self._taint:
-            operand = self._union_reg_taint(rec.op.src_regs)
-            if operand is not None:
-                self.taint.ccr_write(
-                    rec.creg,
-                    operand,
-                    self.scalar_cycles,
-                    self.pc,
-                    self._region_name(),
-                )
-            else:
-                self.taint.ccr_taint.pop(rec.creg, None)
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles,
-                self.pc,
-                self._region_name(),
-                "ccr.write",
-                f"c{rec.creg} = {int(condition)}",
-            )
-
-    def _observe_transfer(self, next_pc: int) -> None:
-        if self.sink.enabled:
-            self.sink.count("scalar.cycles")
-            self.sink.count("scalar.taken_transfers")
-        if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles,
-                self.pc,
-                self._region_name(),
-                "transfer",
-                f"-> pc={next_pc}",
-            )
-
-    def _observe_store(self, rec: DecodedOp, address: int) -> None:
-        value_reg, addr_reg = rec.src0, rec.src1
-        value = self.registers[value_reg]
-        if self._taint:
-            stored = merge_taint(
-                self.taint.reg_taint.get(value_reg),
-                rekind_address(self.taint.reg_taint.get(addr_reg)),
-            )
-            if stored is not None:
-                self.taint.leak(
-                    "memory",
-                    self.scalar_cycles,
-                    self.pc,
-                    self._region_name(),
-                    f"mem[{address}] = {value}",
-                    stored,
-                )
-                self.taint.mem_taint[address] = merge_taint(
-                    self.taint.mem_taint.get(address), stored
-                )
-            else:
-                self.taint.mem_taint.pop(address, None)
-        if self._forensics:
-            self._forensic_mem(address, value)
-
-    def _observe_out(self, rec: DecodedOp) -> None:
-        value = self.registers[rec.src0]
-        if self._taint:
-            emitted = self.taint.reg_taint.get(rec.src0)
-            if emitted is not None:
-                self.taint.leak(
-                    "output",
-                    self.scalar_cycles,
-                    self.pc,
-                    self._region_name(),
-                    f"out {value}",
-                    emitted,
-                )
-        if self._forensics:
-            self._forensic_out(value)
-
     def _handle_fault(self, error: Exception, rec: DecodedOp) -> None:
         """Offer a fault to the handler; raise if it is not repaired."""
         fault = _fault_record(error, rec.op)
         if self.fault_handler is None or not self.fault_handler(fault, self):
-            if self._forensics:
-                self._forensic_fault("fault.unhandled", fault)
+            if self._obs is not None:
+                self._obs.fault_unhandled(self, fault, None)
             raise UnhandledFault(fault) from error
         self.handled_faults += 1
-        if self.sink.enabled:
-            self.sink.count("scalar.faults.handled")
-        if self._forensics:
-            self._forensic_fault("fault.handled", fault)
+        if self._obs is not None:
+            self._obs.fault_handled(self, fault, None)
 
     # ------------------------------------------------------------------
-    # Taint plumbing (guarded by ``self._taint`` at every call site).
+    # Taint plumbing (guarded by ``taint`` at every site in the loop, and
+    # entered with the loop's locals written back).
     # ------------------------------------------------------------------
-    def _set_reg_taint(self, reg, taint) -> None:
-        """Overwrite a register's taint; a clean write scrubs old taint
-        (the register now holds untainted data).  r0 stays clean."""
-        if reg == ZERO_REG:
+    def _taint_write(self, rec: DecodedOp, address: int | None = None) -> None:
+        """An ALU result, or a load's value read from *address*:
+        overwrite the destination's taint (r0 stays clean)."""
+        if rec.dest == ZERO_REG:
             return
-        if taint is None:
-            self.taint.reg_taint.pop(reg, None)
+        tracker = self.taint
+        if rec.kind == LOAD:
+            taint = merge_taint(
+                tracker.mem_taint.get(address),
+                rekind_address(tracker.reg_taint.get(rec.src0)),
+            )
         else:
-            self.taint.reg_taint[reg] = taint
+            taint = self._union_reg_taint(rec.op.src_regs)
+        if taint is None:
+            tracker.reg_taint.pop(rec.dest, None)
+        else:
+            tracker.reg_taint[rec.dest] = taint
+
+    def _taint_condition(self, rec: DecodedOp) -> None:
+        operand = self._union_reg_taint(rec.op.src_regs)
+        if operand is not None:
+            self.taint.ccr_write(
+                rec.creg,
+                operand,
+                self.scalar_cycles,
+                self.pc,
+                self.region_name(),
+            )
+        else:
+            self.taint.ccr_taint.pop(rec.creg, None)
+
+    def _taint_store(self, rec: DecodedOp, address: int) -> None:
+        """Every scalar store commits at once: tainted data is a leak."""
+        value_reg, addr_reg = rec.src0, rec.src1
+        tracker = self.taint
+        stored = merge_taint(
+            tracker.reg_taint.get(value_reg),
+            rekind_address(tracker.reg_taint.get(addr_reg)),
+        )
+        if stored is not None:
+            tracker.leak(
+                "memory",
+                self.scalar_cycles,
+                self.pc,
+                self.region_name(),
+                f"mem[{address}] = {self.registers[value_reg]}",
+                stored,
+            )
+            tracker.mem_taint[address] = merge_taint(
+                tracker.mem_taint.get(address), stored
+            )
+        else:
+            tracker.mem_taint.pop(address, None)
+
+    def _taint_out(self, rec: DecodedOp) -> None:
+        emitted = self.taint.reg_taint.get(rec.src0)
+        if emitted is not None:
+            self.taint.leak(
+                "output",
+                self.scalar_cycles,
+                self.pc,
+                self.region_name(),
+                f"out {self.registers[rec.src0]}",
+                emitted,
+            )
 
     def _union_reg_taint(self, regs):
         """The merged taint of a source-register tuple (None if clean)."""
@@ -523,72 +479,11 @@ class Interpreter:
             taint = merge_taint(taint, self.taint.reg_taint.get(reg))
         return taint
 
-    # ------------------------------------------------------------------
-    # Forensics (guarded by ``self._forensics`` at every call site).
-    # ------------------------------------------------------------------
-    def _region_name(self) -> str | None:
+    def region_name(self) -> str | None:
+        """The current CFG block as ``B<id>`` (None without a CFG)."""
         if self._current_block is None:
             return None
         return f"B{self._current_block}"
-
-    def _forensic_reg(self, reg: int, value: int) -> None:
-        if reg == ZERO_REG:
-            return
-        region = self._region_name()
-        if self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles, self.pc, region, "reg.write", f"r{reg} = {value}"
-            )
-        if self.effects is not None:
-            self.effects.emit_reg(
-                reg, value, cycle=self.scalar_cycles, pc=self.pc, region=region
-            )
-
-    def _forensic_mem(self, address: int, value: int) -> None:
-        region = self._region_name()
-        if self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles,
-                self.pc,
-                region,
-                "mem.store",
-                f"mem[{address}] = {value}",
-            )
-        if self.effects is not None:
-            self.effects.emit_mem(
-                address, value, cycle=self.scalar_cycles, pc=self.pc, region=region
-            )
-
-    def _forensic_out(self, value: int) -> None:
-        region = self._region_name()
-        if self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles, self.pc, region, "out", f"out {value}"
-            )
-        if self.effects is not None:
-            self.effects.emit_out(
-                value, cycle=self.scalar_cycles, pc=self.pc, region=region
-            )
-
-    def _forensic_fault(self, kind: str, fault: FaultRecord) -> None:
-        region = self._region_name()
-        where = fault.address if fault.address is not None else "?"
-        if self.flight.enabled:
-            self.flight.record(
-                self.scalar_cycles,
-                self.pc,
-                region,
-                kind,
-                f"{fault.kind.value}@{where}",
-            )
-        if kind == "fault.handled" and self.effects is not None:
-            self.effects.emit_fault(
-                fault.kind.value,
-                fault.address if fault.address is not None else -1,
-                cycle=self.scalar_cycles,
-                pc=self.pc,
-                region=region,
-            )
 
     def snapshot(self) -> InterpreterSnapshot:
         """Where the interpreter is right now (block path needs a CFG)."""

@@ -39,7 +39,6 @@ from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
-from repro.machine.program import VLIWProgram
 from repro.machine.vliw import VLIWMachine, VLIWResult
 from repro.obs.diagnostics import MachineAbort, MachineSnapshot
 from repro.obs.metrics import NULL_SINK, MetricsSink
@@ -208,14 +207,6 @@ class OracleResult:
         }
 
 
-def region_label(vliw: VLIWProgram, pc: int) -> str | None:
-    """The label of the region span containing bundle *pc*."""
-    for span in vliw.regions:
-        if span.start <= pc < span.end:
-            return span.label
-    return None
-
-
 @dataclass
 class MachineRun:
     """The machine side of one check: *error* is a livelocked training
@@ -361,7 +352,7 @@ def run_oracle(
     report: DivergenceReport | None = None
     if sites:
         final_region = (
-            region_label(machine.program, snapshot.pc)
+            machine.program.region_at(snapshot.pc)
             if machine is not None
             else None
         )

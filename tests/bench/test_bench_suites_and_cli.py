@@ -33,8 +33,6 @@ class TestRegistry:
             "micro.store_buffer_search",
             "micro.bundle_issue",
             "micro.region_schedule",
-            "micro.obs_null_sink_tick",
-            "micro.obs_uninstrumented_tick",
         ):
             assert expected in names
 
@@ -52,10 +50,9 @@ class TestRegistry:
             all_benchmarks("nano")
 
     def test_filter_substring(self):
-        matched = all_benchmarks("all", filter_substring="obs_")
+        matched = all_benchmarks("all", filter_substring="_search")
         assert {bench.name for bench in matched} == {
-            "micro.obs_null_sink_tick",
-            "micro.obs_uninstrumented_tick",
+            "micro.store_buffer_search",
         }
 
     def test_get_benchmark(self):

@@ -190,7 +190,6 @@ def test_tick_visits_registers_in_order():
     # Filled r17, r9, r1 in that order: a set of these small ints
     # iterates 17, 9, 1, so only an ordered visit gives register order.
     regfile = PredicatedRegisterFile(NUM_REGS)
-    regfile.collect_commit_values = True
     pred = Predicate({0: True})
     for reg in (17, 9, 1):
         regfile.write_speculative(reg, reg * 10, pred)
@@ -219,7 +218,6 @@ def _events(events: CommitEvents) -> tuple:
 )
 def test_occupied_set_tick_equals_full_scan(capacity, program):
     fast = PredicatedRegisterFile(NUM_REGS, shadow_capacity=capacity)
-    fast.collect_commit_values = True
     reference = PredicatedRegisterFile(NUM_REGS, shadow_capacity=capacity)
     ccr = CCR(4)
     snapshots = [fast.state_dict()]

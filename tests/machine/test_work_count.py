@@ -9,9 +9,12 @@ and pin:
 
 * the structural zero-cost rule: a machine run and an interpreter run
   with observers off make no call into ``repro.obs`` or ``repro.taint``
-  at all (the timing check in ``tests/obs/test_zero_cost.py`` stays
-  beside this one);
+  at all;
 * the decoded machine core's calls per simulated cycle;
+* the same counts with one observer attached -- a ``CounterSink``, the
+  Perfetto tracer, the flight recorder with the effect stream, or the
+  Table 1 log -- so an event-stream subscriber cannot start paying more
+  per event unnoticed;
 * the one-frame interpreter loop's calls per executed instruction, on
   the scalar evaluation run (trace recording on, as the pipeline runs
   it);
@@ -45,13 +48,31 @@ from repro.compiler.pipeline import (
 )
 from repro.machine.config import base_machine
 from repro.machine.vliw import VLIWMachine
+from repro.obs.effects import EffectStream
+from repro.obs.flight import RingRecorder
+from repro.obs.metrics import CounterSink
+from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.interpreter import Interpreter
+from repro.workloads import compress as compress_kernel
 from repro.workloads import get_workload
 
 #: Python + builtin calls per simulated machine cycle.
 MAX_MACHINE_CALLS_PER_CYCLE = 45
 #: Python + builtin calls per scalar instruction.
 MAX_SCALAR_CALLS_PER_INSTRUCTION = 3.5
+#: Observed runs: calls per cycle (machine) or per instruction
+#: (interpreter) with the hook-per-family executors that preceded the
+#: event stream (Python 3.11), and the gate.  Each gate is at most 1.10x
+#: that count, and tight enough that one extra call per emitted event
+#: fails it.
+OBSERVED_GATES = {
+    "machine/sink": (155.1, 88.0),
+    "machine/tracer": (133.0, 119.0),
+    "machine/flight+effects": (122.6, 128.0),
+    "machine/record_events": (51.1, 56.2),
+    "scalar/sink": (7.15, 7.85),
+    "scalar/flight+effects": (25.8, 28.3),
+}
 #: Python + builtin calls per trace block, memo filling included.
 MAX_COUNTER_CALLS_PER_TRACE_BLOCK = 2.0
 #: Python + builtin calls per scheduled region item, facts given (~100
@@ -172,6 +193,47 @@ def test_machine_calls_per_cycle(machine_calls):
     )
 
 
+def _flight_and_effects() -> dict:
+    flight = RingRecorder()
+    return {"flight": flight, "effects": EffectStream("run", flight)}
+
+
+_OBSERVERS = {
+    "sink": lambda: {"sink": CounterSink()},
+    "tracer": lambda: {"tracer": CycleTraceRecorder()},
+    "flight+effects": _flight_and_effects,
+    "record_events": lambda: {"record_events": True},
+}
+
+
+@pytest.mark.parametrize("run", sorted(OBSERVED_GATES))
+def test_observed_calls(compress, run):
+    workload, facts, config, _, compiled = compress
+    executor, observer = run.split("/")
+    observers = _OBSERVERS[observer]()
+    if executor == "machine":
+        engine = VLIWMachine(
+            compiled.vliw, config, workload.eval_memory(), **observers
+        )
+    else:
+        engine = Interpreter(
+            workload.program, workload.eval_memory(), cfg=facts.cfg,
+            **observers,
+        )
+    result, calls = _count_calls(engine.run)
+    units, unit = (
+        (result.cycles, "cycle") if executor == "machine"
+        else (result.steps, "instruction")
+    )
+    parent, limit = OBSERVED_GATES[run]
+    assert limit <= 1.10 * parent
+    per_unit = sum(calls.values()) / units
+    assert per_unit <= limit, (
+        f"{run}: {per_unit:.2f} calls per {unit} (limit {limit})\n"
+        + _breakdown(calls, units, unit)
+    )
+
+
 @pytest.fixture(scope="module")
 def scalar_calls(compress):
     workload, facts, _, _, _ = compress
@@ -235,13 +297,12 @@ def test_compile_calls_per_region_item(compress):
 
 def test_compile_never_calls_functools(compress):
     _, _, config, predictor, _ = compress
-    # A fresh program: none of its instructions has decoded yet.
-    workload = get_workload("compress")
-    facts = analyze_program(workload.program)
+    # A freshly built program (the registry shares one): none of its
+    # instructions has decoded yet.
+    program = compress_kernel.workload().program
+    facts = analyze_program(program)
     compiled, calls = _count_calls(
-        lambda: compile_program(
-            workload.program, "region_pred", config, predictor, facts
-        )
+        lambda: compile_program(program, "region_pred", config, predictor, facts)
     )
     functools_calls = {
         name: count

@@ -1,123 +1,33 @@
-"""Enforces the observability layer's zero-cost claim.
+"""Zero cost when off, by structure.
 
-The obs layer promises that with :data:`NULL_SINK` installed the
-simulators pay only the ``sink.enabled`` guard test at each
-instrumentation site.  The commit-hardware tick is split so the claim
-is measurable: ``PredicatedRegisterFile.tick`` is the production entry
-(guards + core) and ``_tick_core`` is the identical uninstrumented
-body.  This test times the pair and fails if the guards cost >= 5%.
-
-Methodology (mirrors ``micro.obs_*_tick`` in the bench suite, which
-reports the same pair without enforcing it):
-
-* one shared register file for both sides -- allocation locality
-  between two instances varies by more than the guard cost;
-* interleaved repeats, comparing minima -- the min of many repeats is
-  the least-noisy location estimate for a pure-CPU body, and
-  interleaving keeps frequency/cache drift from loading one side;
-* up to three attempts before failing, since a single CI-machine
-  scheduling spike can still poison one side's minimum.
+With nothing attached an executor's observer slot is ``None``: every
+emission point is one ``is not None`` test, and the run never calls
+into ``repro.obs`` (``tests/obs/test_event_stream.py`` and
+``tests/machine/test_work_count.py`` count those calls).  The tests here
+pin the disabled defaults that structure rests on, and that attaching
+observers or taint never changes what the machine does.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
-from repro.core.ccr import CCR
-from repro.core.predicate import Predicate
-from repro.core.regfile import PredicatedRegisterFile
 from repro.obs.metrics import NULL_SINK
 from repro.obs.flight import NULL_RECORDER
 from repro.taint import NULL_TAINT
-
-#: The claim under test: guard sites must cost less than 5%.
-OVERHEAD_LIMIT = 1.05
-
-ROUNDS = 2_000  # ticks per timed sample
-REPEATS = 9  # interleaved samples per side per attempt
-ATTEMPTS = 3
-
-
-def _loaded_regfile() -> tuple[PredicatedRegisterFile, CCR]:
-    """A register file mid-flight: buffered writes that never decide.
-
-    Every pending predicate stays UNSPEC (c5 is never set), so ticking
-    re-runs the same sweep without mutating the file -- both sides time
-    identical work for the life of the test.
-    """
-    regfile = PredicatedRegisterFile(32, shadow_capacity=None)
-    undecided = Predicate({5: True})
-    for reg in range(1, 13):
-        regfile.write_speculative(reg, reg * 7, undecided)
-    ccr = CCR(8)
-    ccr.set(0, True)
-    return regfile, ccr
-
-
-def _min_ns(fn) -> int:
-    best = None
-    for _ in range(REPEATS):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
 
 
 def test_null_sink_is_disabled():
     assert NULL_SINK.enabled is False
 
 
-def test_null_sink_tick_overhead_under_five_percent():
-    regfile, ccr = _loaded_regfile()
-    assert regfile.sink is NULL_SINK
-
-    def instrumented() -> None:
-        for _ in range(ROUNDS):
-            regfile.tick(ccr)
-
-    def uninstrumented() -> None:
-        for _ in range(ROUNDS):
-            regfile._tick_core(ccr)
-
-    # Warm both paths before any timing.
-    instrumented()
-    uninstrumented()
-
-    ratios = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(ATTEMPTS):
-            # Interleaved: each side's minimum is drawn from samples
-            # spread across the same stretch of wall time.
-            guarded = _min_ns(instrumented)
-            bare = _min_ns(uninstrumented)
-            ratio = guarded / bare
-            ratios.append(ratio)
-            if ratio < OVERHEAD_LIMIT:
-                return
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    raise AssertionError(
-        "NULL_SINK guard overhead exceeded the zero-cost claim on all "
-        f"attempts: ratios {[f'{r:.3f}' for r in ratios]} "
-        f"(limit {OVERHEAD_LIMIT})"
-    )
-
-
 class TestDisabledRecorderGuard:
     """The flight recorder's disabled state is the same zero-cost shape.
 
-    A default machine run carries :data:`NULL_RECORDER` and a single
-    cached ``_forensics`` boolean; the hot loop pays one branch per
-    guard site and allocates nothing.  The <5% wall-clock claim itself
-    is gated by ``repro bench compare`` against the stored baseline --
-    these tests pin the *structure* the claim depends on, so a refactor
-    cannot silently start paying for forensics when they are off.
+    A default machine run carries :data:`NULL_RECORDER` and an empty
+    observer slot; the hot loop pays one branch per emission point and
+    allocates nothing.  ``repro bench compare`` only reports wall-clock
+    cost (CI runs it ``--warn-only``), so these tests pin the
+    *structure* instead: a refactor cannot silently start paying for
+    forensics when they are off.
     """
 
     def test_null_recorder_is_disabled(self):
@@ -143,7 +53,7 @@ class TestDisabledRecorderGuard:
         machine = VLIWMachine(compiled.vliw, case.config, case.make_memory())
         assert machine.flight is NULL_RECORDER
         assert machine.effects is None
-        assert machine._forensics is False
+        assert machine._obs is None
 
     def test_instrumentation_does_not_perturb_the_run(self):
         # Same case, forensics off (oracle) and fully on (diff-trace):
@@ -167,9 +77,9 @@ class TestDisabledTaintGuard:
     single cached ``_taint`` boolean; with taint off the hot loop pays
     one branch per guard site, pending/store-buffer entries keep
     ``taint=None``, and snapshots stay byte-identical to the pre-taint
-    layout.  As with forensics, the <5% wall-clock claim is gated by
-    ``repro bench compare`` against the stored baseline -- these tests
-    pin the structure that claim depends on.
+    layout.  As with forensics, wall-clock cost is only reported (CI
+    runs ``repro bench compare --warn-only``); these tests pin the
+    structure it depends on.
     """
 
     def test_null_taint_is_disabled(self):

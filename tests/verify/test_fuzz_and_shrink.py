@@ -31,7 +31,7 @@ class _SquashCommitsRegfile(PredicatedRegisterFile):
     """Commit/squash inversion: FALSE-predicate writes reach sequential
     state instead of being dropped."""
 
-    def _tick_core(self, ccr):
+    def tick(self, ccr):
         events = CommitEvents()
         values = ccr.values()
         for reg, entry in enumerate(self.entries):
